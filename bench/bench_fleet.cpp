@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "harness/config_schema.hpp"
 #include "harness/experiment.hpp"
 #include "harness/observe.hpp"
 #include "service/http_client.hpp"
@@ -59,7 +60,7 @@ harness::ExperimentConfig config_of(
   harness::ExperimentConfig cfg;
   std::string error;
   for (const auto& [key, value] : options) {
-    if (!service::apply_run_option(cfg, key, value, &error)) {
+    if (!harness::apply_config_option(cfg, key, value, &error)) {
       std::fprintf(stderr, "bench_fleet: bad option: %s\n", error.c_str());
       std::exit(1);
     }

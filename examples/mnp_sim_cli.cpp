@@ -1,13 +1,16 @@
 // mnp_sim_cli: run any dissemination experiment from the command line and
 // optionally dump machine-readable CSVs.
 //
-//   mnp_sim_cli [--protocol mnp|deluge|moap|xnp|ncast] [--rows N] [--cols N]
-//               [--spacing FT] [--range FT] [--segments N] [--bytes N]
-//               [--seed N] [--mac csma|tdma] [--no-pipelining]
-//               [--no-query-update] [--battery-aware] [--duty-cycle F]
-//               [--disk-links] [--scenario PATH] [--csv PREFIX] [--quiet]
-//               [--runs N] [--jobs N] [--tie-break fifo|lifo]
+//   mnp_sim_cli [config flags] [--seed N] [--scenario PATH] [--csv PREFIX]
+//               [--quiet] [--runs N] [--jobs N]
 //               [--trace-out PATH] [--metrics-out PATH] [--audit-out PATH]
+//
+// Config flags come from the one config schema (harness/config_schema.hpp)
+// and are mnp_fleet's as well: --protocol, --mac, --tie-break, --rows,
+// --cols, --spacing, --range, --disk-links, --program-id, --bytes,
+// --segments, --max-sim-time-s, --boot-jitter-ms, --no-pipelining,
+// --duty-cycle, --no-query-update and --battery-aware. --help lists their
+// defaults.
 //
 // Examples:
 //   mnp_sim_cli --rows 20 --cols 20 --segments 5            # the Fig.-8 run
@@ -20,6 +23,7 @@
 #include <iostream>
 #include <string>
 
+#include "harness/config_schema.hpp"
 #include "harness/csv.hpp"
 #include "harness/experiment.hpp"
 #include "harness/observe.hpp"
@@ -29,42 +33,29 @@
 
 namespace {
 
-[[noreturn]] void usage(const char* self) {
-  std::cerr
-      << "usage: " << self << " [options]\n"
-      << "  --protocol mnp|deluge|moap|xnp|ncast   protocol to run (default mnp)\n"
-      << "  --rows N --cols N                grid shape (default 10x10)\n"
-      << "  --spacing FT                     inter-node distance (default 10)\n"
-      << "  --range FT                       radio range (default 25)\n"
-      << "  --segments N                     program size in MNP segments\n"
-      << "  --bytes N                        program size in bytes\n"
-      << "  --seed N                         RNG seed (default 1)\n"
-      << "  --mac csma|tdma                  medium access (default csma)\n"
-      << "  --no-pipelining                  basic hop-by-hop MNP\n"
-      << "  --no-query-update                disable the repair phase\n"
-      << "  --battery-aware                  scale adv power by battery\n"
-      << "  --duty-cycle F                   pre-wave duty cycle (0..1)\n"
-      << "  --disk-links                     ideal disk links (no loss)\n"
-      << "  --scenario PATH                  fault-injection schedule (churn,\n"
-      << "                                   partitions, mobility; see\n"
-      << "                                   examples/scenarios/)\n"
-      << "  --csv PREFIX                     write PREFIX.{nodes,timeline,summary}.csv\n"
-      << "  --quiet                          summary only (no maps)\n"
-      << "  --runs N                         sweep N seeds (starting at --seed)\n"
-      << "  --jobs N                         sweep worker threads (default: \n"
-      << "                                   MNP_SWEEP_JOBS, else 1; results\n"
-      << "                                   are identical for any N)\n"
-      << "  --tie-break fifo|lifo            same-timestamp event order\n"
-      << "                                   (default fifo; flip + --audit-out\n"
-      << "                                   to hunt order-sensitive logic)\n"
-      << "  --trace-out PATH                 write a Perfetto/Chrome trace JSON\n"
-      << "                                   (sweeps trace the first seed)\n"
-      << "  --metrics-out PATH               write the run-manifest JSON\n"
-      << "                                   (config, seeds, metrics snapshot)\n"
-      << "  --audit-out PATH                 run the determinism auditor and\n"
-      << "                                   write its state-hash log (diff two\n"
-      << "                                   with mnp_bisect)\n";
-  std::exit(2);
+[[noreturn]] void usage(const char* self, int code = 2) {
+  std::ostream& os = code == 0 ? std::cout : std::cerr;
+  os << "usage: " << self << " [options]\n"
+     << "  --seed N                         RNG seed (default 1)\n"
+     << "  --scenario PATH                  fault-injection schedule (churn,\n"
+     << "                                   partitions, mobility; see\n"
+     << "                                   examples/scenarios/)\n"
+     << "  --csv PREFIX                     write PREFIX.{nodes,timeline,summary}.csv\n"
+     << "  --quiet                          summary only (no maps)\n"
+     << "  --runs N                         sweep N seeds (starting at --seed)\n"
+     << "  --jobs N                         sweep worker threads (default: \n"
+     << "                                   MNP_SWEEP_JOBS, else 1; results\n"
+     << "                                   are identical for any N)\n"
+     << "  --trace-out PATH                 write a Perfetto/Chrome trace JSON\n"
+     << "                                   (sweeps trace the first seed)\n"
+     << "  --metrics-out PATH               write the run-manifest JSON\n"
+     << "                                   (config, seeds, metrics snapshot)\n"
+     << "  --audit-out PATH                 run the determinism auditor and\n"
+     << "                                   write its state-hash log (diff two\n"
+     << "                                   with mnp_bisect)\n"
+     << "  --help                           this text\n";
+  mnp::harness::write_config_usage(os);
+  std::exit(code);
 }
 
 }  // namespace
@@ -75,64 +66,34 @@ int main(int argc, char** argv) {
   harness::ObsCli obs_cli;
   std::string csv_prefix;
   bool quiet = false;
-  std::size_t runs = 1;
-  std::size_t jobs = 0;  // 0 = resolve via MNP_SWEEP_JOBS
+  std::uint64_t runs = 1;
+  std::uint64_t jobs = 0;  // 0 = resolve via MNP_SWEEP_JOBS
 
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
+  auto need_uint = [&](int& i, std::uint64_t* out) {
+    const char* flag = argv[i];
+    const char* value = need_value(i);
+    if (!harness::parse_uint_text(value, out)) {
+      std::cerr << flag << ": invalid value '" << value << "'\n";
+      std::exit(2);
+    }
+  };
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (!std::strcmp(arg, "--protocol")) {
-      const std::string v = need_value(i);
-      if (v == "mnp") {
-        cfg.protocol = harness::Protocol::kMnp;
-      } else if (v == "deluge") {
-        cfg.protocol = harness::Protocol::kDeluge;
-      } else if (v == "moap") {
-        cfg.protocol = harness::Protocol::kMoap;
-      } else if (v == "xnp") {
-        cfg.protocol = harness::Protocol::kXnp;
-      } else if (v == "ncast") {
-        cfg.protocol = harness::Protocol::kNcast;
-      } else {
-        usage(argv[0]);
-      }
-    } else if (!std::strcmp(arg, "--rows")) {
-      cfg.rows = std::stoul(need_value(i));
-    } else if (!std::strcmp(arg, "--cols")) {
-      cfg.cols = std::stoul(need_value(i));
-    } else if (!std::strcmp(arg, "--spacing")) {
-      cfg.spacing_ft = std::stod(need_value(i));
-    } else if (!std::strcmp(arg, "--range")) {
-      cfg.range_ft = std::stod(need_value(i));
-    } else if (!std::strcmp(arg, "--segments")) {
-      cfg.set_program_segments(static_cast<std::uint16_t>(std::stoul(need_value(i))));
-    } else if (!std::strcmp(arg, "--bytes")) {
-      cfg.program_bytes = std::stoul(need_value(i));
-    } else if (!std::strcmp(arg, "--seed")) {
-      cfg.seed = std::stoull(need_value(i));
-    } else if (!std::strcmp(arg, "--mac")) {
-      const std::string v = need_value(i);
-      if (v == "csma") {
-        cfg.mac = harness::MacType::kCsma;
-      } else if (v == "tdma") {
-        cfg.mac = harness::MacType::kTdma;
-      } else {
-        usage(argv[0]);
-      }
-    } else if (!std::strcmp(arg, "--no-pipelining")) {
-      cfg.mnp.pipelining = false;
-    } else if (!std::strcmp(arg, "--no-query-update")) {
-      cfg.mnp.query_update_enabled = false;
-    } else if (!std::strcmp(arg, "--battery-aware")) {
-      cfg.mnp.battery_aware = true;
-    } else if (!std::strcmp(arg, "--duty-cycle")) {
-      cfg.mnp.pre_wave_duty_cycle = std::stod(need_value(i));
-    } else if (!std::strcmp(arg, "--disk-links")) {
-      cfg.empirical_links = false;
+    std::string error;
+    switch (harness::apply_config_arg(cfg, argc, argv, i, nullptr, &error)) {
+      case harness::ConfigArg::kApplied: continue;
+      case harness::ConfigArg::kInvalid:
+        std::cerr << error << "\n";
+        return 2;
+      case harness::ConfigArg::kNotConfig: break;
+    }
+    if (!std::strcmp(arg, "--seed")) {
+      need_uint(i, &cfg.seed);
     } else if (!std::strcmp(arg, "--scenario")) {
       const auto parsed = scenario::load_scenario_file(need_value(i));
       if (!parsed.ok) {
@@ -145,18 +106,11 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--quiet")) {
       quiet = true;
     } else if (!std::strcmp(arg, "--runs")) {
-      runs = std::stoul(need_value(i));
+      need_uint(i, &runs);
     } else if (!std::strcmp(arg, "--jobs")) {
-      jobs = std::stoul(need_value(i));
-    } else if (!std::strcmp(arg, "--tie-break")) {
-      const std::string v = need_value(i);
-      if (v == "fifo") {
-        cfg.tie_break = sim::TieBreak::kFifo;
-      } else if (v == "lifo") {
-        cfg.tie_break = sim::TieBreak::kLifo;
-      } else {
-        usage(argv[0]);
-      }
+      need_uint(i, &jobs);
+    } else if (!std::strcmp(arg, "--help")) {
+      usage(argv[0], 0);
     } else if (obs_cli.parse_arg(argc, argv, i)) {
       // --trace-out / --metrics-out / --audit-out consumed.
     } else {

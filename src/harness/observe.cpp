@@ -6,6 +6,7 @@
 #include <iostream>
 #include <ostream>
 
+#include "harness/config_schema.hpp"
 #include "obs/json_writer.hpp"
 
 // Stamped by CMake from `git describe`; manifest-only (never in the trace
@@ -95,50 +96,11 @@ void write_audit_log(std::ostream& os, const ExperimentConfig& cfg,
 
 namespace {
 
-const char* mac_name(MacType m) {
-  switch (m) {
-    case MacType::kCsma: return "csma";
-    case MacType::kTdma: return "tdma";
-  }
-  return "?";
-}
-
 void write_config(obs::JsonWriter& w, const ExperimentConfig& cfg) {
   w.begin_object();
-  w.key("protocol");
-  w.value(protocol_name(cfg.protocol));
-  w.key("mac");
-  w.value(mac_name(cfg.mac));
-  w.key("rows");
-  w.value(static_cast<std::uint64_t>(cfg.rows));
-  w.key("cols");
-  w.value(static_cast<std::uint64_t>(cfg.cols));
-  w.key("spacing_ft");
-  w.value(cfg.spacing_ft);
-  w.key("base");
-  w.value(static_cast<std::uint64_t>(cfg.base));
-  w.key("range_ft");
-  w.value(cfg.range_ft);
-  w.key("interference_factor");
-  w.value(cfg.interference_factor);
-  w.key("empirical_links");
-  w.value(cfg.empirical_links);
-  w.key("link_noise_stddev");
-  w.value(cfg.link_noise_stddev);
-  w.key("program_id");
-  w.value(static_cast<std::uint64_t>(cfg.program_id));
-  w.key("program_bytes");
-  w.value(static_cast<std::uint64_t>(cfg.program_bytes));
-  w.key("packets_per_segment");
-  w.value(static_cast<std::uint64_t>(cfg.mnp.packets_per_segment));
-  w.key("payload_bytes");
-  w.value(static_cast<std::uint64_t>(cfg.mnp.payload_bytes));
-  w.key("pipelining");
-  w.value(cfg.mnp.pipelining);
-  w.key("max_sim_time_us");
-  w.value(static_cast<std::int64_t>(cfg.max_sim_time));
-  w.key("boot_jitter_us");
-  w.value(static_cast<std::int64_t>(cfg.boot_jitter));
+  // Schema v5: every row of the config schema, so the manifest names
+  // exactly the config that produced it.
+  write_config_fields(w, cfg);
   // Schema v2: which fault schedule (if any) shaped this run. The event
   // count pins the parsed scenario, not just its label.
   w.key("scenario");

@@ -39,7 +39,10 @@ namespace mnp::obs {
 /// v4: NCast network-coded baseline — ncast.* counters (rounds,
 /// advs_sent, requests_sent, coded_sent, innovative, redundant,
 /// decode_row_ops, generations_decoded) and the ncast.rank gauge.
-inline constexpr int kTelemetrySchemaVersion = 4;
+/// v5: the manifest's config block is generated from the config schema
+/// (harness/config_schema.hpp): every knob, keyed as in the dedup
+/// manifest, choices in their input spelling ("mnp", not "MNP").
+inline constexpr int kTelemetrySchemaVersion = 5;
 
 enum class Unit : std::uint8_t {
   kCount,

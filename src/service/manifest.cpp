@@ -1,15 +1,12 @@
 #include "service/manifest.hpp"
 
+#include "harness/config_schema.hpp"
 #include "obs/json_writer.hpp"
 #include "scenario/scenario.hpp"
 
 namespace mnp::service {
 
 namespace {
-
-const char* mac_name(harness::MacType m) {
-  return m == harness::MacType::kTdma ? "tdma" : "csma";
-}
 
 void write_node_list(obs::JsonWriter& w, const std::vector<net::NodeId>& ids) {
   w.begin_array();
@@ -51,86 +48,17 @@ std::string canonical_manifest(const harness::ExperimentConfig& cfg,
   obs::JsonWriter w;
   w.begin_object();
   w.key("manifest_version");
-  w.value(1);
+  w.value(2);
 
+  // Every row of the config schema, values spelled exactly, so two
+  // configs that differ in any of them never collide. Knobs of protocols
+  // other than cfg.protocol are hashed too: a miss costs one simulation,
+  // a false hit would serve wrong bytes.
   w.key("config");
   w.begin_object();
-  w.key("protocol");
-  w.value(harness::protocol_name(cfg.protocol));
-  w.key("mac");
-  w.value(mac_name(cfg.mac));
-  w.key("rows");
-  w.value(static_cast<std::uint64_t>(cfg.rows));
-  w.key("cols");
-  w.value(static_cast<std::uint64_t>(cfg.cols));
-  w.key("spacing_ft");
-  w.value(cfg.spacing_ft);
-  w.key("base");
-  w.value(static_cast<std::uint64_t>(cfg.base));
-  w.key("tdma_slot_us");
-  w.value(static_cast<std::int64_t>(cfg.tdma_slot));
-  w.key("range_ft");
-  w.value(cfg.range_ft);
-  w.key("interference_factor");
-  w.value(cfg.interference_factor);
-  w.key("empirical_links");
-  w.value(cfg.empirical_links);
-  w.key("link_noise_stddev");
-  w.value(cfg.link_noise_stddev);
-  w.key("chan_bitrate_bps");
-  w.value(cfg.channel.bitrate_bps);
-  w.key("chan_neighbor_cache");
-  w.value(cfg.channel.neighbor_cache);
-  w.key("chan_zero_copy");
-  w.value(cfg.channel.zero_copy);
-  w.key("chan_grid_index");
-  w.value(cfg.channel.grid_index);
-  w.key("program_id");
-  w.value(static_cast<std::uint64_t>(cfg.program_id));
-  w.key("program_bytes");
-  w.value(static_cast<std::uint64_t>(cfg.program_bytes));
+  harness::write_config_fields(w, cfg);
   w.key("seed");
   w.value(seed);
-  w.key("max_sim_time_us");
-  w.value(static_cast<std::int64_t>(cfg.max_sim_time));
-  w.key("boot_jitter_us");
-  w.value(static_cast<std::int64_t>(cfg.boot_jitter));
-  w.key("tie_break");
-  w.value(cfg.tie_break == sim::TieBreak::kFifo ? "fifo" : "lifo");
-
-  // Protocol knobs on the service request surface, plus every field that
-  // shapes the disseminated image's segment geometry (those decide the
-  // simulation even when the protocol in question is not selected for
-  // this run — image geometry is resolved per protocol).
-  w.key("mnp_packets_per_segment");
-  w.value(static_cast<std::uint64_t>(cfg.mnp.packets_per_segment));
-  w.key("mnp_payload_bytes");
-  w.value(static_cast<std::uint64_t>(cfg.mnp.payload_bytes));
-  w.key("mnp_pipelining");
-  w.value(cfg.mnp.pipelining);
-  w.key("mnp_query_update");
-  w.value(cfg.mnp.query_update_enabled);
-  w.key("mnp_battery_aware");
-  w.value(cfg.mnp.battery_aware);
-  w.key("mnp_duty_cycle");
-  w.value(cfg.mnp.pre_wave_duty_cycle);
-  w.key("deluge_packets_per_page");
-  w.value(static_cast<std::uint64_t>(cfg.deluge.packets_per_page));
-  w.key("deluge_payload_bytes");
-  w.value(static_cast<std::uint64_t>(cfg.deluge.payload_bytes));
-  w.key("moap_payload_bytes");
-  w.value(static_cast<std::uint64_t>(cfg.moap.payload_bytes));
-  w.key("xnp_payload_bytes");
-  w.value(static_cast<std::uint64_t>(cfg.xnp.payload_bytes));
-  w.key("ncast_generation_size");
-  w.value(static_cast<std::uint64_t>(cfg.ncast.generation_size));
-  w.key("ncast_payload_bytes");
-  w.value(static_cast<std::uint64_t>(cfg.ncast.payload_bytes));
-
-  w.key("battery_levels");
-  w.begin_array();
-  for (const double level : cfg.battery_levels) w.value(level);
-  w.end_array();
   w.end_object();
 
   // The *parsed* schedule, not its textual spelling: comments, blank

@@ -1,18 +1,19 @@
 // Canonical run manifests: the dedup key of the fleet service
 // (DESIGN.md §14).
 //
-// A run is identified by what the simulator will actually see — the
-// ExperimentConfig knobs reachable through the service's request surface,
-// the *parsed* scenario events (so two textual spellings of the same
-// schedule collide, as they must), and the seed. The manifest is rendered
-// as compact JSON with a fixed key order and the repo's fixed number
-// formats (obs::json_number), then hashed with 64-bit FNV-1a. Identical
-// manifest hash => run_experiment produces the byte-identical RunResult
-// and metrics export, so the run store can answer duplicates from cache.
+// A run is identified by what the simulator will actually see — every
+// row of the config schema (harness/config_schema.hpp), the
+// *parsed* scenario events (so two textual spellings of the same schedule
+// collide, as they must), and the seed. The manifest is rendered as
+// compact JSON with a fixed key order and exact number spellings, then
+// hashed with 64-bit FNV-1a. Identical manifest hash => run_experiment
+// produces the byte-identical RunResult and metrics export, so the run
+// store can answer duplicates from cache.
 //
 // Deliberately NOT part of the manifest: shared_topology/shared_image
-// (construction shortcuts, not semantics), Observation settings (metrics
-// are observation-independent by the §9 contract), and sweep job counts.
+// (construction shortcuts, not semantics), cfg.seed (the `seed` argument
+// is the one hashed), Observation settings (metrics are
+// observation-independent by the §9 contract), and sweep job counts.
 #pragma once
 
 #include <cstdint>

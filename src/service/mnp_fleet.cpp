@@ -9,13 +9,11 @@
 //   mnp_fleet status  [--host IP] --port N --id N
 //   mnp_fleet metrics [--host IP] --port N --id N [--out PATH]
 //
-// Experiment flags mirror mnp_sim_cli: --protocol, --mac, --rows, --cols,
-// --spacing, --range, --segments, --bytes, --program-id, --no-pipelining,
-// --no-query-update, --battery-aware, --duty-cycle, --disk-links,
-// --tie-break, --max-sim-time-s, --boot-jitter-ms. Every flag is shipped
-// through the same option vocabulary the daemon parses (service/
-// run_request.hpp), so a run submitted here hashes identically to the
-// same run described as JSON by any other client.
+// Experiment flags are mnp_sim_cli's config flags: both CLIs take them
+// from the one config schema (harness/config_schema.hpp), and each flag is
+// shipped as the schema key the daemon parses, so a run submitted here
+// hashes identically to the same run described as JSON by any other
+// client. Bad values fail here, before anything is sent.
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -26,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "harness/config_schema.hpp"
 #include "service/http_client.hpp"
 #include "service/json.hpp"
 #include "service/run_request.hpp"
@@ -41,20 +40,23 @@ using mnp::service::HttpResponse;
       << "usage: " << self
       << " health|version|metricsz|submit|status|metrics [options]\n"
       << "  common: [--host IP] --port N\n"
-      << "  submit: experiment flags (see mnp_sim_cli), [--seed N]\n"
+      << "  submit: config flags (below), [--seed N]\n"
       << "          [--runs N | --seeds 1,2,3] [--scenario PATH] [--wait]\n"
       << "  status/metrics: --id N; metrics also [--out PATH]\n";
+  mnp::harness::write_config_usage(std::cerr);
   std::exit(2);
 }
 
-std::vector<std::uint64_t> parse_seed_list(const std::string& csv) {
-  std::vector<std::uint64_t> seeds;
+/// "1,2,3" -> {1, 2, 3}; false on anything but comma-separated integers.
+bool parse_seed_list(const std::string& csv, std::vector<std::uint64_t>* out) {
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) seeds.push_back(std::stoull(item));
+    std::uint64_t seed = 0;
+    if (!mnp::harness::parse_uint_text(item, &seed)) return false;
+    out->push_back(seed);
   }
-  return seeds;
+  return !out->empty();
 }
 
 int fail(const HttpResponse& res, const char* what) {
@@ -94,37 +96,58 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::string scenario_text;
   std::uint64_t first_seed = 1;
-  std::size_t runs = 1;
+  std::uint64_t runs = 1;
   std::vector<std::uint64_t> explicit_seeds;
-  std::vector<std::pair<std::string, std::string>> options;
+  mnp::harness::ExperimentConfig cfg;  // validates flags client-side
+  std::vector<mnp::harness::ConfigOption> options;
 
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
-  auto option = [&](const char* key, std::string value) {
-    options.emplace_back(key, std::move(value));
+  auto need_uint = [&](int& i) {
+    const char* flag = argv[i];
+    const char* value = need_value(i);
+    std::uint64_t n = 0;
+    if (!mnp::harness::parse_uint_text(value, &n)) {
+      std::cerr << "mnp_fleet: " << flag << ": invalid value '" << value
+                << "'\n";
+      std::exit(2);
+    }
+    return n;
   };
 
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
+    std::string error;
+    switch (mnp::harness::apply_config_arg(cfg, argc, argv, i, &options,
+                                           &error)) {
+      case mnp::harness::ConfigArg::kApplied: continue;
+      case mnp::harness::ConfigArg::kInvalid:
+        std::cerr << "mnp_fleet: " << error << "\n";
+        return 2;
+      case mnp::harness::ConfigArg::kNotConfig: break;
+    }
     if (!std::strcmp(arg, "--host")) {
       host = need_value(i);
     } else if (!std::strcmp(arg, "--port")) {
-      port = static_cast<std::uint16_t>(std::stoul(need_value(i)));
+      const std::uint64_t p = need_uint(i);
+      if (p > 65535) usage(argv[0]);
+      port = static_cast<std::uint16_t>(p);
     } else if (!std::strcmp(arg, "--id")) {
-      id = std::stoull(need_value(i));
+      id = need_uint(i);
       have_id = true;
     } else if (!std::strcmp(arg, "--out")) {
       out_path = need_value(i);
     } else if (!std::strcmp(arg, "--wait")) {
       wait = true;
     } else if (!std::strcmp(arg, "--seed")) {
-      first_seed = std::stoull(need_value(i));
+      first_seed = need_uint(i);
     } else if (!std::strcmp(arg, "--runs")) {
-      runs = std::stoul(need_value(i));
+      runs = need_uint(i);
+      if (runs == 0 || runs > 100000) usage(argv[0]);
     } else if (!std::strcmp(arg, "--seeds")) {
-      explicit_seeds = parse_seed_list(need_value(i));
+      if (!parse_seed_list(need_value(i), &explicit_seeds)) usage(argv[0]);
     } else if (!std::strcmp(arg, "--scenario")) {
       std::ifstream f(need_value(i));
       if (!f) {
@@ -134,40 +157,6 @@ int main(int argc, char** argv) {
       std::stringstream text;
       text << f.rdbuf();
       scenario_text = text.str();
-    } else if (!std::strcmp(arg, "--protocol")) {
-      option("protocol", need_value(i));
-    } else if (!std::strcmp(arg, "--mac")) {
-      option("mac", need_value(i));
-    } else if (!std::strcmp(arg, "--rows")) {
-      option("rows", need_value(i));
-    } else if (!std::strcmp(arg, "--cols")) {
-      option("cols", need_value(i));
-    } else if (!std::strcmp(arg, "--spacing")) {
-      option("spacing_ft", need_value(i));
-    } else if (!std::strcmp(arg, "--range")) {
-      option("range_ft", need_value(i));
-    } else if (!std::strcmp(arg, "--segments")) {
-      option("segments", need_value(i));
-    } else if (!std::strcmp(arg, "--bytes")) {
-      option("program_bytes", need_value(i));
-    } else if (!std::strcmp(arg, "--program-id")) {
-      option("program_id", need_value(i));
-    } else if (!std::strcmp(arg, "--no-pipelining")) {
-      option("pipelining", "false");
-    } else if (!std::strcmp(arg, "--no-query-update")) {
-      option("query_update", "false");
-    } else if (!std::strcmp(arg, "--battery-aware")) {
-      option("battery_aware", "true");
-    } else if (!std::strcmp(arg, "--duty-cycle")) {
-      option("duty_cycle", need_value(i));
-    } else if (!std::strcmp(arg, "--disk-links")) {
-      option("empirical_links", "false");
-    } else if (!std::strcmp(arg, "--tie-break")) {
-      option("tie_break", need_value(i));
-    } else if (!std::strcmp(arg, "--max-sim-time-s")) {
-      option("max_sim_time_s", need_value(i));
-    } else if (!std::strcmp(arg, "--boot-jitter-ms")) {
-      option("boot_jitter_ms", need_value(i));
     } else {
       usage(argv[0]);
     }

@@ -17,11 +17,13 @@
 // The daemon prints "mnp_simd listening on 127.0.0.1:<port>" once ready
 // and runs until SIGINT/SIGTERM.
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "harness/config_schema.hpp"
 #include "service/server.hpp"
 #include "sim/time.hpp"
 
@@ -46,16 +48,28 @@ int main(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
+  auto need_uint = [&](int& i, std::uint64_t max) {
+    std::uint64_t n = 0;
+    if (!harness::parse_uint_text(need_value(i), &n) || n > max) {
+      usage(argv[0]);
+    }
+    return n;
+  };
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (!std::strcmp(arg, "--port")) {
-      options.port = static_cast<std::uint16_t>(std::stoul(need_value(i)));
+      options.port = static_cast<std::uint16_t>(need_uint(i, 65535));
     } else if (!std::strcmp(arg, "--jobs")) {
-      options.jobs = std::stoul(need_value(i));
+      options.jobs = need_uint(i, 4096);
     } else if (!std::strcmp(arg, "--progress-interval-s")) {
-      options.progress_interval =
-          static_cast<sim::Time>(std::stod(need_value(i)) * 1e6);
+      const char* value = need_value(i);
+      char* end = nullptr;
+      const double s = std::strtod(value, &end);
+      if (end == value || *end != '\0' || !(s >= 0.0) || s > 1e9) {
+        usage(argv[0]);
+      }
+      options.progress_interval = static_cast<sim::Time>(s * 1e6);
     } else if (!std::strcmp(arg, "--port-file")) {
       port_file = need_value(i);
     } else {

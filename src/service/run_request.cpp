@@ -1,8 +1,9 @@
 #include "service/run_request.hpp"
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
+#include "harness/config_schema.hpp"
 #include "obs/json_writer.hpp"
 #include "scenario/scenario_parser.hpp"
 
@@ -10,174 +11,54 @@ namespace mnp::service {
 
 namespace {
 
-bool parse_u64(std::string_view v, std::uint64_t* out) {
-  const std::string s(v);
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') return false;
-  *out = parsed;
-  return true;
-}
-
-bool parse_double(std::string_view v, double* out) {
-  const std::string s(v);
-  char* end = nullptr;
-  const double parsed = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') return false;
-  *out = parsed;
-  return true;
-}
-
-bool parse_bool(std::string_view v, bool* out) {
-  if (v == "true" || v == "1") {
-    *out = true;
-    return true;
-  }
-  if (v == "false" || v == "0") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
-bool fail(std::string* error, std::string message) {
-  if (error != nullptr) *error = std::move(message);
-  return false;
-}
-
 /// Exact-round-trip textual spelling of a JSON scalar, so typed values
-/// reach apply_run_option spelled the way the CLI would spell them.
-std::string scalar_to_text(const JsonValue& v) {
+/// reach the schema spelled the way the CLI would spell them (%.17g for
+/// numbers). False for arrays, objects and null.
+bool scalar_to_text(const JsonValue& v, std::string* out) {
   switch (v.kind) {
-    case JsonValue::Kind::kString: return v.string;
-    case JsonValue::Kind::kBool: return v.boolean ? "true" : "false";
+    case JsonValue::Kind::kString:
+      *out = v.string;
+      return true;
+    case JsonValue::Kind::kBool:
+      *out = v.boolean ? "true" : "false";
+      return true;
     case JsonValue::Kind::kNumber: {
       char buf[40];
       std::snprintf(buf, sizeof(buf), "%.17g", v.number);
-      return buf;
+      *out = buf;
+      return true;
     }
-    default: return std::string();
+    default:
+      return false;
   }
+}
+
+/// A seed or run count: a non-negative integer JSON number small enough
+/// to be exact in a double.
+bool json_count(const JsonValue& v, std::uint64_t* out) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (!v.is_number() || !(v.number >= 0.0) || v.number > kMaxExact ||
+      std::floor(v.number) != v.number) {
+    return false;
+  }
+  *out = static_cast<std::uint64_t>(v.number);
+  return true;
 }
 
 }  // namespace
-
-bool apply_run_option(harness::ExperimentConfig& cfg, std::string_view key,
-                      std::string_view value, std::string* error) {
-  const auto bad_value = [&] {
-    return fail(error, "option '" + std::string(key) + "': invalid value '" +
-                           std::string(value) + "'");
-  };
-
-  if (key == "protocol") {
-    if (value == "mnp") {
-      cfg.protocol = harness::Protocol::kMnp;
-    } else if (value == "deluge") {
-      cfg.protocol = harness::Protocol::kDeluge;
-    } else if (value == "moap") {
-      cfg.protocol = harness::Protocol::kMoap;
-    } else if (value == "xnp") {
-      cfg.protocol = harness::Protocol::kXnp;
-    } else if (value == "ncast") {
-      cfg.protocol = harness::Protocol::kNcast;
-    } else {
-      return bad_value();
-    }
-    return true;
-  }
-  if (key == "mac") {
-    if (value == "csma") {
-      cfg.mac = harness::MacType::kCsma;
-    } else if (value == "tdma") {
-      cfg.mac = harness::MacType::kTdma;
-    } else {
-      return bad_value();
-    }
-    return true;
-  }
-  if (key == "tie_break") {
-    if (value == "fifo") {
-      cfg.tie_break = sim::TieBreak::kFifo;
-    } else if (value == "lifo") {
-      cfg.tie_break = sim::TieBreak::kLifo;
-    } else {
-      return bad_value();
-    }
-    return true;
-  }
-
-  if (key == "rows" || key == "cols" || key == "program_bytes" ||
-      key == "program_id" || key == "segments" || key == "base") {
-    std::uint64_t n = 0;
-    if (!parse_u64(value, &n)) return bad_value();
-    if (key == "rows") {
-      if (n == 0) return bad_value();
-      cfg.rows = static_cast<std::size_t>(n);
-    } else if (key == "cols") {
-      if (n == 0) return bad_value();
-      cfg.cols = static_cast<std::size_t>(n);
-    } else if (key == "program_bytes") {
-      cfg.program_bytes = static_cast<std::size_t>(n);
-    } else if (key == "program_id") {
-      cfg.program_id = static_cast<std::uint16_t>(n);
-    } else if (key == "segments") {
-      cfg.set_program_segments(static_cast<std::uint16_t>(n));
-    } else {
-      cfg.base = static_cast<net::NodeId>(n);
-    }
-    return true;
-  }
-
-  if (key == "spacing_ft" || key == "range_ft" ||
-      key == "interference_factor" || key == "link_noise_stddev" ||
-      key == "duty_cycle" || key == "max_sim_time_s" ||
-      key == "boot_jitter_ms") {
-    double d = 0.0;
-    if (!parse_double(value, &d)) return bad_value();
-    if (key == "spacing_ft") {
-      cfg.spacing_ft = d;
-    } else if (key == "range_ft") {
-      cfg.range_ft = d;
-    } else if (key == "interference_factor") {
-      cfg.interference_factor = d;
-    } else if (key == "link_noise_stddev") {
-      cfg.link_noise_stddev = d;
-    } else if (key == "duty_cycle") {
-      cfg.mnp.pre_wave_duty_cycle = d;
-    } else if (key == "max_sim_time_s") {
-      if (d <= 0.0) return bad_value();
-      cfg.max_sim_time = static_cast<sim::Time>(d * 1e6);
-    } else {
-      if (d < 0.0) return bad_value();
-      cfg.boot_jitter = static_cast<sim::Time>(d * 1e3);
-    }
-    return true;
-  }
-
-  if (key == "pipelining" || key == "query_update" || key == "battery_aware" ||
-      key == "empirical_links") {
-    bool b = false;
-    if (!parse_bool(value, &b)) return bad_value();
-    if (key == "pipelining") {
-      cfg.mnp.pipelining = b;
-    } else if (key == "query_update") {
-      cfg.mnp.query_update_enabled = b;
-    } else if (key == "battery_aware") {
-      cfg.mnp.battery_aware = b;
-    } else {
-      cfg.empirical_links = b;
-    }
-    return true;
-  }
-
-  return fail(error, "unknown option '" + std::string(key) + "'");
-}
 
 RunRequestResult parse_run_request(const JsonValue& body) {
   RunRequestResult out;
   if (!body.is_object()) {
     out.error = "request body must be a JSON object";
     return out;
+  }
+  for (const auto& [key, value] : body.members) {
+    if (key != "config" && key != "seeds" && key != "seed" && key != "runs") {
+      out.error = "unknown request key '" + key +
+                  "' (expected config, seeds, seed, runs)";
+      return out;
+    }
   }
 
   if (const JsonValue* config = body.find("config")) {
@@ -194,12 +75,13 @@ RunRequestResult parse_run_request(const JsonValue& body) {
         out.scenario_text = value.string;
         continue;
       }
-      if (!value.is_string() && !value.is_number() && !value.is_bool()) {
+      std::string text;
+      if (!scalar_to_text(value, &text)) {
         out.error = "option '" + key + "' must be a scalar";
         return out;
       }
-      if (!apply_run_option(out.request.cfg, key, scalar_to_text(value),
-                            &out.error)) {
+      if (!harness::apply_config_option(out.request.cfg, key, text,
+                                        &out.error)) {
         return out;
       }
     }
@@ -221,21 +103,25 @@ RunRequestResult parse_run_request(const JsonValue& body) {
       return out;
     }
     for (const JsonValue& s : seeds->items) {
-      if (!s.is_number() || s.number < 0) {
-        out.error = "\"seeds\" entries must be non-negative numbers";
+      std::uint64_t seed = 0;
+      if (!json_count(s, &seed)) {
+        out.error = "\"seeds\" entries must be non-negative integers";
         return out;
       }
-      out.request.seeds.push_back(static_cast<std::uint64_t>(s.number));
+      out.request.seeds.push_back(seed);
     }
   } else {
+    std::uint64_t first = 1;
+    std::uint64_t count = 1;
     const JsonValue* seed = body.find("seed");
     const JsonValue* runs = body.find("runs");
-    const std::uint64_t first =
-        seed != nullptr ? static_cast<std::uint64_t>(seed->number_or(1)) : 1;
-    const std::uint64_t count =
-        runs != nullptr ? static_cast<std::uint64_t>(runs->number_or(1)) : 1;
+    if (seed != nullptr && !json_count(*seed, &first)) {
+      out.error = "\"seed\" must be a non-negative integer";
+      return out;
+    }
+    if (runs != nullptr && !json_count(*runs, &count)) count = 0;
     if (count == 0 || count > 100000) {
-      out.error = "\"runs\" must be in [1, 100000]";
+      out.error = "\"runs\" must be an integer in [1, 100000]";
       return out;
     }
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -257,9 +143,9 @@ RunRequestResult parse_run_request_text(std::string_view body) {
   return parse_run_request(parsed.value);
 }
 
-std::string run_request_json(
-    const std::vector<std::pair<std::string, std::string>>& options,
-    std::string_view scenario_text, const std::vector<std::uint64_t>& seeds) {
+std::string run_request_json(const std::vector<harness::ConfigOption>& options,
+                             std::string_view scenario_text,
+                             const std::vector<std::uint64_t>& seeds) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("config");

@@ -1,13 +1,13 @@
-// Request surface of the fleet service: one option vocabulary shared by
-// the HTTP JSON body (`POST /runs`), the `mnp_fleet` client flags, and
-// the tests that pin CLI-vs-JSON manifest-hash identity (DESIGN.md §14).
+// Request surface of the fleet service (DESIGN.md §14): the JSON body of
+// `POST /runs` and the body `mnp_fleet` renders from its flags.
 //
-// Both entry points funnel through apply_run_option(key, value-as-text),
+// Config keys are the input rows of the one config schema
+// (harness/config_schema.hpp), the rows the CLIs' flags come from too,
 // so a run described twice — `--rows 12` on the command line, `"rows": 12`
 // in a JSON config — builds the field-identical ExperimentConfig and
 // therefore the identical canonical manifest hash. JSON scalars are
 // rendered to text with exact round-trip formats (%.17g for numbers)
-// before they hit the shared parser.
+// before they reach the schema's parser.
 #pragma once
 
 #include <cstdint>
@@ -15,19 +15,11 @@
 #include <string_view>
 #include <vector>
 
+#include "harness/config_schema.hpp"
 #include "harness/experiment.hpp"
 #include "service/json.hpp"
 
 namespace mnp::service {
-
-/// Applies one option to `cfg`. Returns false with *error set on an
-/// unknown key or an unparsable value. Keys (all optional, defaults are
-/// ExperimentConfig's): protocol, mac, rows, cols, spacing_ft, range_ft,
-/// interference_factor, link_noise_stddev, segments, program_bytes,
-/// program_id, pipelining, query_update, battery_aware, duty_cycle,
-/// empirical_links, tie_break, max_sim_time_s, boot_jitter_ms.
-bool apply_run_option(harness::ExperimentConfig& cfg, std::string_view key,
-                      std::string_view value, std::string* error);
 
 /// A parsed `POST /runs` body: the config template plus the seeds to run
 /// it under (each seed becomes one dedup'able run record).
@@ -46,22 +38,24 @@ struct RunRequestResult {
 };
 
 /// Parses a request body:
-///   {"config": {<apply_run_option keys>..., "scenario": "<inline text>"},
+///   {"config": {<schema keys>..., "scenario": "<inline text>"},
 ///    "seed": 1, "runs": 3}            // seeds 1, 2, 3
 ///   {"config": {...}, "seeds": [7, 9]}  // explicit list
-/// Absent seed info defaults to the single seed 1.
+/// Absent seed info defaults to the single seed 1. Unknown keys, at the
+/// top level or in "config", are errors: a typo must never run (and
+/// dedup as) the default config.
 RunRequestResult parse_run_request(const JsonValue& body);
 
 /// Convenience: parse_run_request over raw JSON text.
 RunRequestResult parse_run_request_text(std::string_view body);
 
 /// Renders the request-body JSON `mnp_fleet` submits: the (key, value)
-/// option pairs exactly as collected from the command line (values as
-/// JSON strings — parse_run_request accepts both typed scalars and their
+/// options exactly as collected from the command line (values as JSON
+/// strings — parse_run_request accepts both typed scalars and their
 /// textual spellings), the scenario text if any, and the seed list. The
 /// daemon reconstructs a field-identical config from it.
-std::string run_request_json(
-    const std::vector<std::pair<std::string, std::string>>& options,
-    std::string_view scenario_text, const std::vector<std::uint64_t>& seeds);
+std::string run_request_json(const std::vector<harness::ConfigOption>& options,
+                             std::string_view scenario_text,
+                             const std::vector<std::uint64_t>& seeds);
 
 }  // namespace mnp::service

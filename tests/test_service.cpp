@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "harness/config_schema.hpp"
 #include "harness/experiment.hpp"
 #include "harness/observe.hpp"
 #include "service/asset_cache.hpp"
@@ -35,7 +36,7 @@ harness::ExperimentConfig small_config() {
   harness::ExperimentConfig cfg;
   std::string error;
   for (const auto& [key, value] : kSmallRun) {
-    EXPECT_TRUE(service::apply_run_option(cfg, key, value, &error)) << error;
+    EXPECT_TRUE(harness::apply_config_option(cfg, key, value, &error)) << error;
   }
   return cfg;
 }
@@ -123,7 +124,7 @@ TEST(ServiceManifest, SeedAndEveryKnobChangeTheHash) {
   for (const auto& [key, value] : knobs) {
     harness::ExperimentConfig cfg = base;
     std::string error;
-    ASSERT_TRUE(service::apply_run_option(cfg, key, value, &error)) << error;
+    ASSERT_TRUE(harness::apply_config_option(cfg, key, value, &error)) << error;
     EXPECT_NE(h, service::manifest_hash(cfg, 1)) << key << "=" << value;
   }
 }
@@ -153,6 +154,26 @@ TEST(ServiceManifest, RejectsUnknownOptions) {
       R"({"config": {"no_such_knob": 1}})");
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("no_such_knob"), std::string::npos);
+}
+
+TEST(ServiceRequest, RejectsUnknownKeysAndNonIntegerSeeds) {
+  // A misspelled top-level key used to be ignored, running (and deduping
+  // as) the default config.
+  const auto options = service::parse_run_request_text(
+      R"({"options": {"rows": 3}})");
+  EXPECT_FALSE(options.ok);
+  EXPECT_NE(options.error.find("options"), std::string::npos);
+  for (const char* body :
+       {R"({"seed": -1})", R"({"seed": 1.5})", R"({"seed": "7"})",
+        R"({"seeds": [1e300]})", R"({"seeds": [-2]})", R"({"seeds": ["1"]})",
+        R"({"runs": 0})", R"({"runs": 2.5})", R"({"runs": 1e9})",
+        R"({"config": {"rows": [12]}})", R"({"config": {"rows": null}})",
+        R"({"config": {"rows": 70000}})"}) {
+    EXPECT_FALSE(service::parse_run_request_text(body).ok) << body;
+  }
+  const auto ok = service::parse_run_request_text(R"({"seed": 7, "runs": 2})");
+  ASSERT_TRUE(ok.ok) << ok.error;
+  EXPECT_EQ(ok.request.seeds, (std::vector<std::uint64_t>{7, 8}));
 }
 
 // --- asset cache --------------------------------------------------------

@@ -42,17 +42,17 @@ for flag in --trace-out --metrics-out; do
   fi
 done
 
-# Protocol drift gate: the set of `--protocol` values the CLI accepts and
+# Protocol drift gate: the set of `--protocol` values the CLIs accept and
 # the set the docs advertise must match in both directions. Accepted
-# values are parsed from the mnp_sim_cli dispatch (`v == "name"` inside
-# the --protocol branch); documented values from every `--protocol name`
-# mention in the user-facing docs.
-accepted=$(sed -n '/--protocol/,/^    } else if/p' examples/mnp_sim_cli.cpp |
-           grep -oE 'v == "[a-z]+"' | sed -E 's/v == "([a-z]+)"/\1/' | sort -u)
+# values are parsed from the config schema's protocol spellings
+# (`kProtocolNames` in src/harness/config_schema.cpp); documented values
+# from every `--protocol name` mention in the user-facing docs.
+accepted=$(sed -n '/kProtocolNames\[\] = {/,/};/p' src/harness/config_schema.cpp |
+           grep -oE '"[a-z]+"' | tr -d '"' | sort -u)
 documented=$(grep -hoE '\-\-protocol [a-z|]+' README.md DESIGN.md PROTOCOLS.md EXPERIMENTS.md 2>/dev/null |
              sed 's/--protocol //' | tr '|' '\n' | sort -u || true)
 if [ -z "$accepted" ]; then
-  echo "check_docs: could not parse accepted --protocol values from mnp_sim_cli.cpp" >&2
+  echo "check_docs: could not parse accepted --protocol values from config_schema.cpp" >&2
   fail=1
 fi
 while IFS= read -r p; do

@@ -172,30 +172,6 @@ bool ObsCli::parse_arg(int argc, char** argv, int& i) {
   return false;
 }
 
-ObsCli parse_obs_args(int argc, char** argv) {
-  ObsCli cli;
-  for (int i = 1; i < argc; ++i) {
-    if (!cli.parse_arg(argc, argv, i)) {
-      std::cerr << "usage: " << argv[0]
-                << " [--trace-out PATH] [--metrics-out PATH]"
-                << " [--audit-out PATH]\n";
-      std::exit(2);
-    }
-  }
-  return cli;
-}
-
-bool finish_observation(const ObsCli& cli, const ExperimentConfig& cfg,
-                        const Observation& observation) {
-  if (!cli.enabled()) return true;
-  if (observation.log.dropped() != 0) {
-    std::cerr << "event ring overflowed: " << observation.log.dropped()
-              << " dropped event(s); raise the Observation trace capacity\n";
-    return false;
-  }
-  return cli.write(cfg, cfg.seed, 1, observation);
-}
-
 bool ObsCli::write(const ExperimentConfig& cfg, std::uint64_t first_seed,
                    std::size_t runs, const Observation& observation) const {
   if (!trace_path.empty()) {

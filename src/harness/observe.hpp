@@ -93,7 +93,8 @@ void write_run_manifest(std::ostream& os, const ExperimentConfig& cfg,
                         std::uint64_t first_seed, std::size_t runs,
                         const Observation& observation);
 
-/// Shared --trace-out/--metrics-out handling for the CLI and fig benches.
+/// Shared --trace-out/--metrics-out/--audit-out handling for mnp_sim_cli and
+/// mnp_paper.
 struct ObsCli {
   std::string trace_path;
   std::string metrics_path;
@@ -115,18 +116,5 @@ struct ObsCli {
   bool write(const ExperimentConfig& cfg, std::uint64_t first_seed,
              std::size_t runs, const Observation& observation) const;
 };
-
-/// Argv handling for fig benches, which accept only the observability
-/// flags: exits 2 with a usage line on anything unrecognised.
-ObsCli parse_obs_args(int argc, char** argv);
-
-/// Bench epilogue for one observed configuration: fails (message on
-/// stderr) if the run overflowed the event ring — figure configurations
-/// must never drop telemetry silently — then writes any requested
-/// outputs. Benches with several configurations call this once per run,
-/// so every configuration gets the overflow check and the files end up
-/// describing the figure's last run. No-op when no flags were given.
-bool finish_observation(const ObsCli& cli, const ExperimentConfig& cfg,
-                        const Observation& observation);
 
 }  // namespace mnp::harness

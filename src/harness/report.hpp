@@ -1,5 +1,6 @@
 // Report rendering: turns a RunResult into the pictures/tables the paper
-// prints. Every bench binary is a thin wrapper over these.
+// prints. mnp_paper's figure renderers and the examples are thin wrappers
+// over these.
 #pragma once
 
 #include <iosfwd>

@@ -66,8 +66,8 @@ struct SweepOptions {
 SweepResult run_sweep(ExperimentConfig cfg, std::size_t runs,
                       std::uint64_t first_seed, const SweepOptions& options);
 
-/// Compatibility overload; honours MNP_SWEEP_JOBS, so existing callers
-/// (every bench binary) pick up parallelism from the environment.
+/// Compatibility overload; honours MNP_SWEEP_JOBS, so callers without a
+/// jobs knob pick up parallelism from the environment.
 SweepResult run_sweep(ExperimentConfig cfg, std::size_t runs,
                       std::uint64_t first_seed = 1, bool keep_raw = false);
 

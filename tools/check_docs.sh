@@ -98,7 +98,37 @@ while IFS= read -r route; do
   fi
 done <<< "$endpoints_doc"
 
+# Claim drift gate: every id in mnp_paper's claim registry (one
+# `{"<id>", run_...` row of `kClaims` in bench/mnp_paper.cpp) needs an
+# `mnp_paper <id>` recipe on a `Regenerate:` line of EXPERIMENTS.md, and
+# every such recipe must name a registered id, so a claim can be neither
+# added undocumented nor documented after it is gone.
+registered=$(sed -n '/kClaims\[\] = {/,/^};/p' bench/mnp_paper.cpp |
+             grep -oE '^ *\{"[a-z0-9]+", run_' | grep -oE '[a-z0-9]+"' | tr -d '"' |
+             sort -u || true)
+recipes=$(grep -E '^Regenerate:' EXPERIMENTS.md | grep -oE 'mnp_paper [a-z0-9]+' |
+          sed 's/mnp_paper //' | sort -u || true)
+if [ -z "$registered" ]; then
+  echo "check_docs: could not parse claim ids from bench/mnp_paper.cpp" >&2
+  fail=1
+fi
+while IFS= read -r id; do
+  [ -n "$id" ] || continue
+  if ! grep -qx "$id" <<< "$recipes"; then
+    echo "check_docs: claim $id has no 'mnp_paper $id' Regenerate recipe in EXPERIMENTS.md" >&2
+    fail=1
+  fi
+done <<< "$registered"
+while IFS= read -r id; do
+  [ -n "$id" ] || continue
+  if ! grep -qx "$id" <<< "$registered"; then
+    echo "check_docs: EXPERIMENTS.md recipe 'mnp_paper $id' names no registered claim" >&2
+    fail=1
+  fi
+done <<< "$recipes"
+
 if [ "$fail" -eq 0 ]; then
-  echo "check_docs: OK ($checked documented binary paths resolve to targets)"
+  echo "check_docs: OK ($checked documented binary paths resolve to targets;" \
+       "$(wc -l <<< "$registered") claims have recipes)"
 fi
 exit "$fail"

@@ -6,14 +6,12 @@
 // Beyond the google-benchmark suite, `bench_micro --perf-json[=DIR]` runs
 // a deterministic perf-tracking harness instead and writes machine-
 // readable BENCH_channel.json (cached vs. brute-force channel hot path on
-// a 30x30 grid), BENCH_packet.json (shared-frame vs. per-receiver-copy
-// delivery plus end-to-end 30x30 numbers and the pool's allocation
-// counters) and BENCH_sweep.json (run_sweep jobs=1 vs. jobs=2/4 plus the
-// bit-identical-stats check). Those files are committed so the perf
-// trajectory is visible across PRs.
+// a 30x30 grid), BENCH_packet.json (dense shared-frame delivery and the
+// frame pool's allocation counter) and BENCH_sweep.json (run_sweep jobs=1
+// vs. jobs=2/4 plus the bit-identical-stats check). Those files are
+// committed so the perf trajectory is visible across PRs.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -41,12 +39,12 @@ using namespace mnp;
 
 // --- shared channel fixture ------------------------------------------------
 
-/// A rows x rows grid with every radio listening; link model, cache mode
-/// and copy mode are configurable so fast and reference paths time the
-/// exact same workload. `range` widens the disk radius (denser fan-out).
+/// A rows x rows grid with every radio listening; link model and cache
+/// mode are configurable so the fast path and its oracle time the exact
+/// same workload. `range` widens the disk radius (denser fan-out).
 struct ChannelStack {
   ChannelStack(std::size_t rows, bool neighbor_cache, bool empirical,
-               bool zero_copy = true, double range = 25.0)
+               double range = 25.0)
       : sim(1), topo(net::Topology::grid(rows, rows, 10.0)) {
     if (empirical) {
       net::EmpiricalLinkModel::Params lp;
@@ -57,7 +55,6 @@ struct ChannelStack {
     }
     net::Channel::Params cp;
     cp.neighbor_cache = neighbor_cache;
-    cp.zero_copy = zero_copy;
     channel = std::make_unique<net::Channel>(sim, topo, *links, cp);
     const std::size_t n = rows * rows;
     for (std::size_t i = 0; i < n; ++i) {
@@ -226,14 +223,12 @@ void BM_ChannelBroadcastBruteForce(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelBroadcastBruteForce)->Arg(10)->Arg(20)->Arg(30);
 
-void frame_delivery_bench(benchmark::State& state, bool zero_copy) {
+void BM_FrameDeliveryShared(benchmark::State& state) {
   // Delivery fan-out: one data broadcast heard by ~60 listeners (45 ft
-  // disk on a 10 ft grid). Shared mode hands every receiver the same
-  // frame; copy mode deep-copies the packet per receiver and allocates a
-  // fresh frame per transmission — the pre-flyweight behavior.
+  // disk on a 10 ft grid), every receiver handed the same shared frame.
   const auto rows = static_cast<std::size_t>(state.range(0));
   ChannelStack stack(rows, /*neighbor_cache=*/true, /*empirical=*/false,
-                     zero_copy, /*range=*/45.0);
+                     /*range=*/45.0);
   const net::Packet pkt = data_packet();
   const net::NodeId center = static_cast<net::NodeId>(rows * rows / 2);
   for (auto _ : state) {
@@ -241,16 +236,7 @@ void frame_delivery_bench(benchmark::State& state, bool zero_copy) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-
-void BM_FrameDeliveryShared(benchmark::State& state) {
-  frame_delivery_bench(state, /*zero_copy=*/true);
-}
 BENCHMARK(BM_FrameDeliveryShared)->Arg(30);
-
-void BM_FrameDeliveryCopy(benchmark::State& state) {
-  frame_delivery_bench(state, /*zero_copy=*/false);
-}
-BENCHMARK(BM_FrameDeliveryCopy)->Arg(30);
 
 // --- end-to-end ------------------------------------------------------------
 
@@ -305,15 +291,13 @@ struct DeliveryTiming {
   double ms = 0.0;
   std::uint64_t deliveries = 0;
   std::uint64_t node_allocs = 0;
-  std::uint64_t payload_allocs = 0;
 };
 
 /// Times `packets` dense broadcasts (45 ft disk => ~60 listeners each) on
-/// a rows x rows grid, in shared-frame or per-receiver-copy mode.
-DeliveryTiming time_frame_deliveries(std::size_t rows, int packets,
-                                     bool zero_copy) {
+/// a rows x rows grid, after one warmup broadcast.
+DeliveryTiming time_frame_deliveries(std::size_t rows, int packets) {
   ChannelStack stack(rows, /*neighbor_cache=*/true, /*empirical=*/false,
-                     zero_copy, /*range=*/45.0);
+                     /*range=*/45.0);
   const net::Packet pkt = data_packet();
   const net::NodeId center = static_cast<net::NodeId>(rows * rows / 2);
   stack.broadcast_from(center, pkt);  // warmup: fills neighbor cache + pool
@@ -323,24 +307,7 @@ DeliveryTiming time_frame_deliveries(std::size_t rows, int packets,
   t.ms = ms_since(start);
   t.deliveries = stack.channel->deliveries();
   t.node_allocs = stack.channel->frame_pool().node_allocations();
-  t.payload_allocs = stack.channel->frame_pool().payload_allocations();
   return t;
-}
-
-/// Wall-clock of one full 30x30 MNP dissemination, shared or copy mode.
-double time_end_to_end(bool zero_copy) {
-  harness::ExperimentConfig cfg;
-  cfg.rows = 30;
-  cfg.cols = 30;
-  cfg.set_program_segments(1);
-  cfg.seed = 5;
-  cfg.channel.zero_copy = zero_copy;
-  const auto start = std::chrono::steady_clock::now();
-  const auto r = harness::run_experiment(cfg);
-  if (!r.all_completed) {
-    std::fprintf(stderr, "perf-json: 30x30 dissemination did not complete\n");
-  }
-  return ms_since(start);
 }
 
 struct SweepTiming {
@@ -403,25 +370,13 @@ int run_perf_json(const std::string& dir) {
                 channel_speedup);
   }
 
-  std::printf("perf-json: timing shared vs. copy delivery on a %zux%zu grid...\n",
+  std::printf("perf-json: timing shared-frame delivery on a %zux%zu grid...\n",
               rows, rows);
   const int delivery_packets = 2000;
-  const DeliveryTiming shared =
-      time_frame_deliveries(rows, delivery_packets, true);
-  const DeliveryTiming copied =
-      time_frame_deliveries(rows, delivery_packets, false);
-  const double delivery_speedup = shared.ms > 0.0 ? copied.ms / shared.ms : 0.0;
-  std::printf("perf-json: timing end-to-end 30x30 shared vs. copy...\n");
-  // One warmup then min-of-two per mode, interleaved: the first 30x30 run
-  // in a process pays cold allocator/link-cache costs that would otherwise
-  // bias whichever mode goes first.
-  time_end_to_end(true);
-  double e2e_shared_ms = 1e300;
-  double e2e_copy_ms = 1e300;
-  for (int rep = 0; rep < 2; ++rep) {
-    e2e_copy_ms = std::min(e2e_copy_ms, time_end_to_end(false));
-    e2e_shared_ms = std::min(e2e_shared_ms, time_end_to_end(true));
-  }
+  // The pool recycles one frame node for every broadcast: the warmup
+  // allocates it and the 2000 timed broadcasts allocate nothing.
+  const std::uint64_t max_node_allocs = 1;
+  const DeliveryTiming shared = time_frame_deliveries(rows, delivery_packets);
   {
     const std::string path = dir + "/BENCH_packet.json";
     std::FILE* f = std::fopen(path.c_str(), "w");
@@ -436,29 +391,19 @@ int run_perf_json(const std::string& dir) {
                  "  \"delivery_packets\": %d,\n"
                  "  \"deliveries_per_packet\": %.1f,\n"
                  "  \"shared_delivery_ms\": %.3f,\n"
-                 "  \"copy_delivery_ms\": %.3f,\n"
-                 "  \"delivery_speedup\": %.2f,\n"
-                 "  \"shared_node_allocations\": %llu,\n"
-                 "  \"copy_node_allocations\": %llu,\n"
-                 "  \"end_to_end_shared_ms\": %.3f,\n"
-                 "  \"end_to_end_copy_ms\": %.3f,\n"
-                 "  \"end_to_end_speedup\": %.2f\n"
+                 "  \"shared_node_allocations\": %llu\n"
                  "}\n",
                  rows, rows, delivery_packets,
                  static_cast<double>(shared.deliveries) /
                      (delivery_packets + 1),
-                 shared.ms, copied.ms, delivery_speedup,
-                 static_cast<unsigned long long>(shared.node_allocs),
-                 static_cast<unsigned long long>(copied.node_allocs),
-                 e2e_shared_ms, e2e_copy_ms,
-                 e2e_shared_ms > 0.0 ? e2e_copy_ms / e2e_shared_ms : 0.0);
+                 shared.ms,
+                 static_cast<unsigned long long>(shared.node_allocs));
     std::fclose(f);
-    std::printf(
-        "perf-json: %s (delivery %.2fx, end-to-end %.2fx, shared allocs "
-        "%llu)\n",
-        path.c_str(), delivery_speedup,
-        e2e_shared_ms > 0.0 ? e2e_copy_ms / e2e_shared_ms : 0.0,
-        static_cast<unsigned long long>(shared.node_allocs));
+    std::printf("perf-json: %s (%llu frame-node allocations for %d "
+                "broadcasts)\n",
+                path.c_str(),
+                static_cast<unsigned long long>(shared.node_allocs),
+                delivery_packets + 1);
   }
 
   std::printf("perf-json: timing 8-seed sweep at jobs=1/2/4...\n");
@@ -511,10 +456,13 @@ int run_perf_json(const std::string& dir) {
                  channel_speedup);
     return 1;
   }
-  if (delivery_speedup < 2.0) {
+  if (shared.node_allocs > max_node_allocs) {
     std::fprintf(stderr,
-                 "perf-json: delivery speedup %.2fx below the 2x target\n",
-                 delivery_speedup);
+                 "perf-json: %llu frame-node allocations for %d broadcasts "
+                 "(at most %llu: the pool must recycle)\n",
+                 static_cast<unsigned long long>(shared.node_allocs),
+                 delivery_packets + 1,
+                 static_cast<unsigned long long>(max_node_allocs));
     return 1;
   }
   return 0;

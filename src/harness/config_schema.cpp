@@ -256,13 +256,13 @@ void set_boot_jitter_ms(C& cfg, double ms) {
   cfg.boot_jitter = static_cast<sim::Time>(ms * 1e3);
 }
 
-// Input bounds. Nodes sit within 65534 x kMaxDistanceFt of the origin and
+// Input bounds. Nodes sit within net::kMaxCoordinateFt of the origin and
 // a spatial-grid cell is at least 0.25 x range_ft x interference_factor
 // wide (0.25 is the lowest power scale), so cell coordinates fit their
 // int32; the TDMA tile side, 2 x range_ft x interference_factor /
 // spacing_ft, fits its uint32 likewise.
-constexpr double kMaxNodesPerSide = 65535;
-constexpr double kMaxDistanceFt = 1000;
+using net::kMaxDistanceFt;
+using net::kMaxNodesPerSide;
 constexpr double kMaxInterferenceFactor = 10;
 // One EEPROM (storage::Eeprom::kDefaultCapacity).
 constexpr double kMaxProgramBytes = 512 * 1024;
@@ -324,10 +324,6 @@ std::vector<ConfigField> build_fields() {
                                                       "radio bitrate, bit/s"),
       field<chan, &net::Channel::Params::neighbor_cache>(
           "chan_neighbor_cache", "cached neighbor rows (false: O(N) scans)"),
-      field<chan, &net::Channel::Params::zero_copy>(
-          "chan_zero_copy", "shared-frame delivery (false: deep copies)"),
-      field<chan, &net::Channel::Params::grid_index>(
-          "chan_grid_index", "spatial-grid rows (false: eager all-pairs)"),
       // --- program ------------------------------------------------------
       field<&C::program_id>("program_id", "program id").cli("--program-id"),
       field<&C::program_bytes>("program_bytes", "program size, bytes")

@@ -16,8 +16,6 @@ Channel::Channel(sim::Simulator& sim, const Topology& topo,
       rng_(sim.fork_rng(0xC4A27EFULL)) {
   radios_.resize(topo_.size(), nullptr);
   listening_.resize(topo_.size(), 0);
-  // Copy mode is the honest brute-force reference: no recycling anywhere.
-  pool_.set_recycling(params_.zero_copy);
 }
 
 Channel::Channel(sim::Simulator& sim, const Topology& topo,
@@ -100,18 +98,12 @@ void Channel::sync_world() const {
     // Nothing cached yet; a built grid would be a stale position snapshot.
     grid_.reset();
   } else {
-    // Incremental repair needs every cached scale on the lazy grid path
-    // plus a complete account of what changed (bounded logs: either can
-    // have been overwritten, and a link model may not track change sets
-    // at all). Anything short of that discards the caches — correct by
-    // construction, merely slower, and exactly the pre-grid behavior.
-    bool incremental = params_.grid_index && grid_.valid();
-    for (const auto& cache : scales_) {
-      if (cache->dirty.empty()) {
-        incremental = false;
-        break;
-      }
-    }
+    // Incremental repair needs the grid's position snapshot plus a
+    // complete account of what changed (bounded logs: either can have been
+    // overwritten, and a link model may not track change sets at all).
+    // Anything short of that discards the caches — correct by
+    // construction, merely slower.
+    bool incremental = grid_.valid();
     move_scratch_.clear();
     if (incremental && tv != cache_topo_version_) {
       incremental = topo_.moves_since(cache_topo_version_, move_scratch_);
@@ -156,36 +148,20 @@ Channel::ScaleCache& Channel::scale_for(double power_scale) const {
 }
 
 Channel::ScaleCache& Channel::build_scale(double power_scale) const {
-  // First packet at this power scale: materialize the neighbor rows. The
-  // grid path defers every row to first touch (O(neighbors) each); the
-  // eager reference path pays one O(N^2) pass up front.
+  // First packet at this power scale: every row is deferred to first touch
+  // (O(neighbors) through the grid; O(N) for a link model without a finite
+  // interference bound).
   auto cache = std::make_unique<ScaleCache>();
   cache->power_scale = power_scale;
   cache->radius = links_.max_interference_range(power_scale);
   const std::size_t n = topo_.size();
   cache->neighbors.resize(n);
   cache->success.resize(n);
-  const bool lazy =
-      params_.neighbor_cache && params_.grid_index && cache->radius >= 0.0;
-  if (lazy) {
-    if (!grid_.valid() && cache->radius > 0.0) {
-      grid_.build(topo_, cache->radius);
-      publish_grid_gauges();
-    }
-    cache->mark_all_dirty(n);
-  } else {
-    for (std::size_t src = 0; src < n; ++src) {
-      for (std::size_t dst = 0; dst < n; ++dst) {
-        if (src == dst) continue;
-        const NodeId s = static_cast<NodeId>(src);
-        const NodeId d = static_cast<NodeId>(dst);
-        if (!links_.interferes(s, d, power_scale)) continue;
-        cache->neighbors[src].push_back(d);
-        cache->success[src].push_back(
-            links_.packet_success(s, d, power_scale));
-      }
-    }
+  if (!grid_.valid() && cache->radius > 0.0) {
+    grid_.build(topo_, cache->radius);
+    publish_grid_gauges();
   }
+  cache->mark_all_dirty(n);
   scales_.push_back(std::move(cache));
   const auto index = static_cast<std::uint32_t>(scales_.size() - 1);
   const auto pos = std::lower_bound(
@@ -204,9 +180,10 @@ void Channel::rebuild_row(ScaleCache& cache, NodeId src) const {
   suc.clear();
   const double ps = cache.power_scale;
   if (grid_.valid() && cache.radius >= 0.0) {
-    // Grid superset -> exact filter -> sort: byte-identical to what the
-    // eager all-pairs pass builds for this row (ascending, self excluded),
-    // so both paths feed the RNG the same candidate streams.
+    // Grid superset -> exact filter -> sort: byte-identical to the linear
+    // scan below (ascending, self excluded), which is the order the
+    // brute-force oracle visits, so both feed the RNG the same candidate
+    // streams.
     row_scratch_.clear();
     grid_.for_each_near(
         grid_.x(src), grid_.y(src), cache.radius, [&](NodeId d) {
@@ -267,17 +244,15 @@ bool Channel::carrier_busy(NodeId listener) const {
 }
 
 std::shared_ptr<Channel::Active> Channel::acquire_active() {
-  if (params_.zero_copy) {
-    // Scan for a retired record the scheduler has released (the completion
-    // lambda keeps a reference until it runs; such entries sit at
-    // use_count() > 1 and stay in the retired list).
-    for (std::size_t i = retired_active_.size(); i-- > 0;) {
-      if (retired_active_[i].use_count() == 1) {
-        std::shared_ptr<Active> tx = std::move(retired_active_[i]);
-        retired_active_[i] = std::move(retired_active_.back());
-        retired_active_.pop_back();
-        return tx;
-      }
+  // Scan for a retired record the scheduler has released (the completion
+  // lambda keeps a reference until it runs; such entries sit at
+  // use_count() > 1 and stay in the retired list).
+  for (std::size_t i = retired_active_.size(); i-- > 0;) {
+    if (retired_active_[i].use_count() == 1) {
+      std::shared_ptr<Active> tx = std::move(retired_active_[i]);
+      retired_active_[i] = std::move(retired_active_.back());
+      retired_active_.pop_back();
+      return tx;
     }
   }
   return std::make_shared<Active>();
@@ -439,17 +414,10 @@ void Channel::end_transmission(const std::shared_ptr<Active>& tx) {
     ++deliveries_;
     if (metrics_) metrics_->add(m_delivered_, r);
     if (observer_) observer_->on_deliver(tx->src, r, tx->pkt(), sim_.now());
-    if (params_.zero_copy) {
-      // Every receiver reads the one shared immutable frame.
-      radio->deliver(tx->pkt());
-    } else {
-      // Brute-force reference: each receiver gets its own deep copy, as if
-      // the air materialized a fresh packet per listener.
-      const Packet copy = tx->pkt();
-      radio->deliver(copy);
-    }
+    // Every receiver reads the one shared immutable frame.
+    radio->deliver(tx->pkt());
   }
-  if (params_.zero_copy && retired_active_.size() < 64) {
+  if (retired_active_.size() < 64) {
     // Park the record for reuse; capacity of the candidate vectors and the
     // shared_ptr control block survive. The completion lambda still holds
     // a reference until the scheduler drops it, which acquire_active

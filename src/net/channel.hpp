@@ -27,12 +27,11 @@
 // cache. The node-listening flags live in a struct-of-arrays byte vector
 // so candidate filtering never chases Radio pointers.
 //
-// Reference paths, kept for equivalence diffing: Params::grid_index=false
-// reverts to eager all-pairs builds with whole-cache invalidation (the
-// pre-grid behavior), Params::neighbor_cache=false to brute-force scans
-// with no cache at all. All paths enumerate candidates in ascending node
-// order, so they consume the RNG identically and whole runs are
-// bit-for-bit comparable.
+// One fast path, one oracle: the grid-backed row cache above is the only
+// cached path, and Params::neighbor_cache=false is its reference — brute-
+// force O(N) scans with no cache at all, kept for equivalence diffing.
+// Both enumerate candidates in ascending node order, so they consume the
+// RNG identically and whole runs are bit-for-bit comparable.
 #pragma once
 
 #include <cstdint>
@@ -66,22 +65,10 @@ class Channel {
   struct Params {
     double bitrate_bps = 19200.0;  // Mica-2 CC1000 radio
     /// Debug/reference switch: false reverts to the brute-force O(N)
-    /// scans the neighbor cache replaces. Equivalence-tested against the
-    /// cached path; keep it for diffing, never for production runs.
+    /// scans the neighbor cache replaces — the channel's one oracle.
+    /// Equivalence-tested against the cached path; keep it for diffing,
+    /// never for production runs.
     bool neighbor_cache = true;
-    /// Debug/reference switch: false reverts to brute-force delivery —
-    /// every receiver gets its own deep copy of the packet, frame/payload
-    /// pooling is off, and each transmission record is heap-allocated.
-    /// Equivalence-tested bit-identical against the shared-frame path.
-    bool zero_copy = true;
-    /// Debug/reference switch: false reverts to the pre-grid cache — an
-    /// eager all-pairs O(N^2) build per power scale, fully discarded on
-    /// any topology move or link-revision bump. The grid path builds and
-    /// repairs rows lazily through the spatial index and is equivalence-
-    /// tested bit-identical. Requires neighbor_cache; the grid prunes by
-    /// LinkModel::max_interference_range (models without a finite bound
-    /// fall back to the eager behavior automatically).
-    bool grid_index = true;
   };
 
   Channel(sim::Simulator& sim, const Topology& topo, const LinkModel& links,
@@ -137,13 +124,14 @@ class Channel {
   /// Distinct power scales whose neighbor sets have been materialized.
   std::size_t cached_power_scales() const { return scales_.size(); }
   /// Times the world changed under live caches (topology move or link-
-  /// model revision bump). The grid path answers most of these with
-  /// incremental dirty-marking; the eager path discards every cache.
+  /// model revision bump). Most are answered by incremental dirty-marking;
+  /// a change the move/link logs cannot replay discards every cache.
   std::uint64_t cache_invalidations() const { return cache_invalidations_; }
-  /// Neighbor rows (re)built lazily by the grid path — first-touch builds
-  /// and post-invalidation repairs alike.
+  /// Neighbor rows (re)built on first touch — first builds and
+  /// post-invalidation repairs alike.
   std::uint64_t cache_repairs() const { return cache_repairs_; }
-  /// Spatial-index occupancy (0 when the grid path is off or unbuilt).
+  /// Spatial-index occupancy (0 until a scale with a finite interference
+  /// radius is built).
   std::size_t grid_cells() const { return grid_.cell_count(); }
   std::size_t grid_max_occupancy() const { return grid_.max_occupancy(); }
 
@@ -176,7 +164,7 @@ class Channel {
     double radius = -1.0;  // max interference range; < 0 = no finite bound
     std::vector<std::vector<NodeId>> neighbors;  // ascending, per source
     std::vector<std::vector<double>> success;    // parallel to neighbors
-    std::vector<std::uint64_t> dirty;            // grid path: rows to repair
+    std::vector<std::uint64_t> dirty;            // rows to (re)build on touch
     std::size_t dirty_count = 0;
 
     bool row_dirty(NodeId src) const {
@@ -200,8 +188,8 @@ class Channel {
     }
   };
 
-  /// Brings the caches up to date with the world (incremental when the
-  /// grid path can, whole-cache discard otherwise), then returns the cache
+  /// Brings the caches up to date with the world (incremental where the
+  /// logs allow, whole-cache discard otherwise), then returns the cache
   /// for `power_scale`, materializing it on first use.
   ScaleCache& scale_for(double power_scale) const;
   ScaleCache& build_scale(double power_scale) const;
@@ -215,8 +203,8 @@ class Channel {
   void mark_neighborhood_dirty(ScaleCache& cache, Position p) const;
   void discard_caches() const;
   /// Repairs `src`'s row if dirty: grid-pruned collect + sort, or linear
-  /// scan when no finite radius exists. Identical output to the eager
-  /// all-pairs build, row by row.
+  /// scan when no finite radius exists. Identical output either way:
+  /// ascending NodeId, self excluded — what the brute-force scans visit.
   void ensure_row(ScaleCache& cache, NodeId src) const {
     if (cache.dirty_count != 0 && cache.row_dirty(src)) rebuild_row(cache, src);
   }
@@ -255,13 +243,13 @@ class Channel {
   /// Sorted (power_scale, index into scales_) pairs: cache lookup is one
   /// lower_bound probe, not a linear scan per transmission.
   mutable std::vector<std::pair<double, std::uint32_t>> scale_index_;
-  /// Spatial index behind the grid path; rebuilt whenever the caches are
+  /// Spatial index behind the row cache; rebuilt whenever the caches are
   /// discarded, repaired via Topology's move log otherwise.
   mutable SpatialGrid grid_;
   // World epoch the caches were synced at: any topology move or link-model
-  // revision bump past these marks affected rows dirty (grid path) or
-  // discards the caches (eager path) — mobility must never silently use a
-  // stale neighbor row.
+  // revision bump past these marks affected rows dirty, or discards the
+  // caches when the change cannot be replayed — mobility must never
+  // silently use a stale neighbor row.
   mutable std::uint64_t cache_topo_version_ = 0;
   mutable std::uint64_t cache_links_revision_ = 0;
   mutable std::uint64_t cache_invalidations_ = 0;

@@ -22,11 +22,6 @@
 // alive and immutable until the last reference drops. The pool's internal
 // state is shared_ptr-owned by every live frame, so destruction order of
 // Channel vs. MACs vs. application code cannot dangle a frame.
-//
-// `set_recycling(false)` turns the pool into a plain allocator (every
-// frame and payload is a fresh heap object, released to the heap). That is
-// the brute-force reference mode Channel::Params::zero_copy=false uses;
-// equivalence tests pin it bit-identical to the pooled path.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +51,6 @@ struct FrameNode {
 struct FramePoolState {
   std::vector<FrameNode*> free_nodes;
   std::vector<std::vector<std::uint8_t>> free_payloads;
-  bool recycle = true;
 
   // Introspection for tests/benches: steady state means node_allocs and
   // payload_allocs stop growing while frames keep flowing.
@@ -68,7 +62,7 @@ struct FramePoolState {
 };
 
 /// Drops one reference; on the last one, reclaims payload capacity and
-/// either recycles or frees the node. Defined in frame.cpp.
+/// puts the node on the free list. Defined in frame.cpp.
 void release_frame(FrameNode* node);
 
 }  // namespace detail
@@ -138,11 +132,6 @@ class FramePool {
   /// payload whenever possible. Fill it and move it into a DataMsg-family
   /// payload; the pool gets the capacity back when that frame dies.
   [[nodiscard]] std::vector<std::uint8_t> acquire_payload();
-
-  /// false = plain allocator mode (the brute-force reference path): every
-  /// adopt allocates, every release frees, nothing is recycled.
-  void set_recycling(bool on) { state_->recycle = on; }
-  bool recycling() const { return state_->recycle; }
 
   // --- introspection ------------------------------------------------------
   std::uint64_t node_allocations() const { return state_->node_allocs; }

@@ -17,6 +17,16 @@ struct Position {
   double y = 0.0;  // feet
 };
 
+// Deployment bounds, owned here because two surfaces enforce them: the
+// config schema bounds grid sides and distances (harness/config_schema),
+// and the scenario engine bounds waypoints to the same field. Every node
+// then sits within kMaxCoordinateFt of the origin on each axis, which
+// keeps the spatial grid's int32 cell coordinates in range.
+inline constexpr double kMaxNodesPerSide = 65535;
+inline constexpr double kMaxDistanceFt = 1000;
+inline constexpr double kMaxCoordinateFt =
+    (kMaxNodesPerSide - 1) * kMaxDistanceFt;
+
 inline double distance(const Position& a, const Position& b) {
   const double dx = a.x - b.x;
   const double dy = a.y - b.y;

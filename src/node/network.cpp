@@ -35,12 +35,11 @@ void Network::boot_all(sim::Time max_jitter) {
 void Network::attach_observability(trace::EventLog* log,
                                    obs::MetricsRegistry* metrics) {
   metrics_ = metrics;
+  // Per-node cells are sized at registration, so the count comes first.
+  if (metrics) metrics->set_node_count(size());
   stats_.set_event_log(log);
   stats_.set_metrics(metrics);
-  if (metrics) {
-    metrics->set_node_count(size());
-    channel_.attach_metrics(*metrics);
-  }
+  if (metrics) channel_.attach_metrics(*metrics);
   for (auto& n : nodes_) {
     if (metrics) n->mac().attach_metrics(*metrics);
     if (log) {

@@ -42,7 +42,12 @@ namespace mnp::obs {
 /// v5: the manifest's config block is generated from the config schema
 /// (harness/config_schema.hpp): every knob, keyed as in the dedup
 /// manifest, choices in their input spelling ("mnp", not "MNP").
-inline constexpr int kTelemetrySchemaVersion = 5;
+/// v6: the config block loses the chan_* rows of the two retired channel
+/// paths (deep-copy delivery and the eager all-pairs cache), and
+/// node.completions / node.segments_completed have one cell per node
+/// (through v5 they were registered before the node count was set, so
+/// their per-node adds spilled into the next metrics' cells).
+inline constexpr int kTelemetrySchemaVersion = 6;
 
 enum class Unit : std::uint8_t {
   kCount,

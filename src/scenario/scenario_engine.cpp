@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "net/topology.hpp"
 #include "node/stats.hpp"
 
 namespace mnp::scenario {
@@ -38,6 +39,12 @@ bool ScenarioEngine::arm(std::string* error) {
     return false;
   };
   const std::size_t n = network_.size();
+  // A waypoint stays on the field node positions may occupy, so mobility
+  // keeps the spatial grid's cell coordinates in range (false for NaN and
+  // infinities too).
+  const auto on_field = [](double v) {
+    return std::abs(v) <= net::kMaxCoordinateFt;
+  };
 
   for (const auto& e : scenario_.events()) {
     switch (e.kind) {
@@ -48,6 +55,12 @@ bool ScenarioEngine::arm(std::string* error) {
         if (e.node >= n) {
           return fail(std::string(to_string(e.kind)) + ": node " +
                       std::to_string(e.node) + " out of range");
+        }
+        if (e.kind == EventKind::kMove && !(on_field(e.x) && on_field(e.y))) {
+          return fail("move: waypoint coordinates must be finite and within " +
+                      std::to_string(static_cast<std::int64_t>(
+                          net::kMaxCoordinateFt)) +
+                      " ft of the origin");
         }
         break;
       case EventKind::kCrashFraction:

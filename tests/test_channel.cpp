@@ -2,7 +2,9 @@
 // terminals), carrier sense, and the concurrent-bulk-sender monitor.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/channel.hpp"
@@ -243,11 +245,12 @@ TEST_F(ChannelTest, CannotTransmitWhileOffOrBusy) {
   EXPECT_FALSE(radios_[0]->start_transmission(adv_packet()));  // busy
 }
 
-// --- neighbor cache vs. brute-force reference ----------------------------
+// --- neighbor cache vs. brute-force oracle -------------------------------
 //
-// The cached hot path must be *bit-identical* to the debug reference: same
-// candidate sets in the same order, hence the same RNG stream, hence the
-// same deliveries, collisions and carrier-sense answers on any topology.
+// The cached hot path must be *bit-identical* to the neighbor_cache=false
+// oracle: same candidate sets in the same order, hence the same RNG stream,
+// hence the same deliveries, collisions and carrier-sense answers on any
+// topology.
 class EquivalenceStack {
  public:
   EquivalenceStack(Channel::Params cp, std::size_t n) : sim_(99) {
@@ -324,13 +327,7 @@ class EquivalenceStack {
   std::vector<bool> carrier_samples_;
 };
 
-Channel::Params grid_params() { return Channel::Params{}; }  // grid on
-
-Channel::Params eager_params() {
-  Channel::Params cp;
-  cp.grid_index = false;  // pre-grid eager cache
-  return cp;
-}
+Channel::Params grid_params() { return Channel::Params{}; }
 
 Channel::Params brute_params() {
   Channel::Params cp;
@@ -340,32 +337,26 @@ Channel::Params brute_params() {
 
 TEST(ChannelNeighborCache, MatchesBruteForceOnRandomTopology) {
   EquivalenceStack grid(grid_params(), 48);
-  EquivalenceStack eager(eager_params(), 48);
   EquivalenceStack brute(brute_params(), 48);
   grid.drive();
-  eager.drive();
   brute.drive();
 
-  for (const auto* cached : {&grid, &eager}) {
-    EXPECT_EQ(cached->channel_->transmissions(),
-              brute.channel_->transmissions());
-    EXPECT_EQ(cached->channel_->deliveries(), brute.channel_->deliveries());
-    EXPECT_EQ(cached->channel_->collisions(), brute.channel_->collisions());
-    EXPECT_EQ(cached->channel_->concurrent_bulk_overlaps(),
-              brute.channel_->concurrent_bulk_overlaps());
-    EXPECT_EQ(cached->received_, brute.received_);
-    EXPECT_EQ(cached->carrier_samples_, brute.carrier_samples_);
-    // Two power scales were in play, so two neighbor caches materialized.
-    EXPECT_EQ(cached->channel_->cached_power_scales(), 2u);
-  }
+  EXPECT_EQ(grid.channel_->transmissions(), brute.channel_->transmissions());
+  EXPECT_EQ(grid.channel_->deliveries(), brute.channel_->deliveries());
+  EXPECT_EQ(grid.channel_->collisions(), brute.channel_->collisions());
+  EXPECT_EQ(grid.channel_->concurrent_bulk_overlaps(),
+            brute.channel_->concurrent_bulk_overlaps());
+  EXPECT_EQ(grid.received_, brute.received_);
+  EXPECT_EQ(grid.carrier_samples_, brute.carrier_samples_);
   // Sanity: the run exercised something in every dimension we compare.
   EXPECT_GT(grid.channel_->deliveries(), 0u);
   EXPECT_GT(grid.channel_->collisions(), 0u);
+  // Two power scales were in play, so two neighbor caches materialized,
+  // lazily: rows were built on demand through the grid.
+  EXPECT_EQ(grid.channel_->cached_power_scales(), 2u);
   EXPECT_EQ(brute.channel_->cached_power_scales(), 0u);
-  // The grid path really ran lazily: rows were materialized on demand.
   EXPECT_GT(grid.channel_->cache_repairs(), 0u);
   EXPECT_GT(grid.channel_->grid_cells(), 0u);
-  EXPECT_EQ(eager.channel_->cache_repairs(), 0u);
 }
 
 TEST(ChannelNeighborCache, PairwiseQueriesMatchLinkModel) {
@@ -383,24 +374,51 @@ TEST(ChannelNeighborCache, PairwiseQueriesMatchLinkModel) {
 
 // --- grid path under churn: mobility, partitions, degrade windows ---------
 //
-// Same three-way comparison, but the world itself changes mid-run: nodes
-// teleport between waypoints (Topology::set_position, exactly what the
-// scenario engine's mobility interpolation calls) and a ScenarioLinkModel
-// opens partition and degrade windows. The grid path repairs its rows
-// incrementally; eager discards everything; brute consults the model live.
-// All three must produce bit-identical deliveries, collisions and
-// carrier-sense answers on every seed.
+// Same comparison, but the world itself changes mid-run: nodes teleport
+// between waypoints (Topology::set_position, exactly what the scenario
+// engine's mobility interpolation calls) and a ScenarioLinkModel opens
+// partition and degrade windows. The cached path repairs its rows
+// incrementally; brute consults the model live. Both must produce
+// bit-identical deliveries, collisions and carrier-sense answers on every
+// seed.
+
+// A 25 ft disk (interference x1.5) that reports no finite interference
+// bound (LinkModel's default, -1) at power scales below `bounded_from`:
+// the channel builds those scales' rows by linear scan, never through the
+// grid. 0 is the plain disk, +inf a model bounded at no scale, and 1.0
+// mixes both in one run (scale 0.5 unbounded, scale 1.0 on the grid).
+class PartlyBoundedDisk final : public LinkModel {
+ public:
+  PartlyBoundedDisk(const Topology& topo, double bounded_from)
+      : disk_(topo, 25.0, 1.5), bounded_from_(bounded_from) {}
+
+  double packet_success(NodeId src, NodeId dst, double ps) const override {
+    return disk_.packet_success(src, dst, ps);
+  }
+  bool interferes(NodeId src, NodeId dst, double ps) const override {
+    return disk_.interferes(src, dst, ps);
+  }
+  double max_interference_range(double ps) const override {
+    return ps < bounded_from_ ? -1.0 : disk_.max_interference_range(ps);
+  }
+
+ private:
+  DiskLinkModel disk_;
+  double bounded_from_;
+};
+
 class ChurnStack {
  public:
-  ChurnStack(Channel::Params cp, std::size_t n, std::uint64_t seed)
+  ChurnStack(Channel::Params cp, std::size_t n, std::uint64_t seed,
+             double bounded_from)
       : sim_(99 + seed) {
-    sim::Rng place(1234 + seed);  // same placement across the three stacks
+    sim::Rng place(1234 + seed);  // same placement in both stacks
     for (std::size_t i = 0; i < n; ++i) {
       topo_.add({place.uniform_real(0.0, 150.0),
                  place.uniform_real(0.0, 150.0)});
     }
     links_ = std::make_unique<scenario::ScenarioLinkModel>(
-        std::make_unique<DiskLinkModel>(topo_, 25.0, 1.5), n);
+        std::make_unique<PartlyBoundedDisk>(topo_, bounded_from), n);
     channel_ = std::make_unique<Channel>(sim_, topo_, *links_, cp);
     received_.assign(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -416,7 +434,7 @@ class ChurnStack {
 
   void drive(std::uint64_t seed) {
     const auto n = static_cast<std::int64_t>(radios_.size());
-    sim::Rng traffic(4242 + seed);  // same schedule across the three stacks
+    sim::Rng traffic(4242 + seed);  // same schedule in both stacks
     for (int burst = 0; burst < 60; ++burst) {
       const auto at = static_cast<sim::Time>(traffic.uniform_int(0, 1800000));
       const auto who = static_cast<NodeId>(traffic.uniform_int(0, n - 1));
@@ -475,34 +493,32 @@ class ChurnStack {
   std::vector<bool> carrier_samples_;
 };
 
-TEST(ChannelGridChurn, MatchesEagerAndBruteUnderMobilityAndPartitions) {
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    ChurnStack grid(grid_params(), 32, seed);
-    ChurnStack eager(eager_params(), 32, seed);
-    ChurnStack brute(brute_params(), 32, seed);
-    grid.drive(seed);
-    eager.drive(seed);
-    brute.drive(seed);
+TEST(ChannelGridChurn, MatchesBruteUnderMobilityAndPartitions) {
+  constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+  for (const double bounded_from : {0.0, 1.0, kUnbounded}) {
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      SCOPED_TRACE("bounded_from " + std::to_string(bounded_from) + " seed " +
+                   std::to_string(seed));
+      ChurnStack grid(grid_params(), 32, seed, bounded_from);
+      ChurnStack brute(brute_params(), 32, seed, bounded_from);
+      grid.drive(seed);
+      brute.drive(seed);
 
-    for (const auto* cached : {&grid, &eager}) {
-      EXPECT_EQ(cached->channel_->transmissions(),
-                brute.channel_->transmissions())
-          << "seed " << seed;
-      EXPECT_EQ(cached->channel_->deliveries(), brute.channel_->deliveries())
-          << "seed " << seed;
-      EXPECT_EQ(cached->channel_->collisions(), brute.channel_->collisions())
-          << "seed " << seed;
-      EXPECT_EQ(cached->channel_->concurrent_bulk_overlaps(),
-                brute.channel_->concurrent_bulk_overlaps())
-          << "seed " << seed;
-      EXPECT_EQ(cached->received_, brute.received_) << "seed " << seed;
-      EXPECT_EQ(cached->carrier_samples_, brute.carrier_samples_)
-          << "seed " << seed;
+      EXPECT_EQ(grid.channel_->transmissions(),
+                brute.channel_->transmissions());
+      EXPECT_EQ(grid.channel_->deliveries(), brute.channel_->deliveries());
+      EXPECT_EQ(grid.channel_->collisions(), brute.channel_->collisions());
+      EXPECT_EQ(grid.channel_->concurrent_bulk_overlaps(),
+                brute.channel_->concurrent_bulk_overlaps());
+      EXPECT_EQ(grid.received_, brute.received_);
+      EXPECT_EQ(grid.carrier_samples_, brute.carrier_samples_);
+      // The run exercised delivery and the repair machinery, through the
+      // grid exactly when some scale had a finite bound.
+      EXPECT_GT(brute.channel_->deliveries(), 0u);
+      EXPECT_GT(grid.channel_->cache_invalidations(), 0u);
+      EXPECT_GT(grid.channel_->cache_repairs(), 0u);
+      EXPECT_EQ(grid.channel_->grid_cells() > 0, bounded_from != kUnbounded);
     }
-    // The run exercised delivery and the incremental-repair machinery.
-    EXPECT_GT(brute.channel_->deliveries(), 0u);
-    EXPECT_GT(grid.channel_->cache_invalidations(), 0u);
-    EXPECT_GT(grid.channel_->cache_repairs(), 0u);
   }
 }
 

@@ -253,7 +253,7 @@ TEST(ConfigSchema, RejectsMalformedAndOutOfRangeValues) {
   }
   // A rendered knob that is not an input is as unknown as a typo.
   for (const char* key : {"no_such_knob", "mnp_sleep_multiplier",
-                          "chan_zero_copy", "max_sim_time_us",
+                          "chan_neighbor_cache", "max_sim_time_us",
                           "battery_levels"}) {
     ExperimentConfig cfg;
     std::string error;

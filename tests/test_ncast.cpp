@@ -278,7 +278,7 @@ TEST(NcastHarness, ConvergesByteExactThroughTheHarness) {
 
 // ---------------------------------------------------------------------------
 // Determinism gates under churn: same audit chain for any --jobs count and
-// with the spatial grid index on or off.
+// on the grid-backed neighbor cache vs. the brute-force oracle.
 // ---------------------------------------------------------------------------
 
 harness::ExperimentConfig churny_ncast() {
@@ -314,9 +314,9 @@ TEST(NcastDeterminism, SweepChainsIdenticalForAnyJobsCountUnderChurn) {
 }
 
 TEST(NcastDeterminism, GridIndexOnOffProducesIdenticalChains) {
-  auto run_with_grid = [](bool grid) {
+  auto run_with_grid = [](bool cached) {
     auto cfg = churny_ncast();
-    cfg.channel.grid_index = grid;
+    cfg.channel.neighbor_cache = cached;
     harness::Observation obs;
     obs.with_trace = false;
     obs.energy_sample_interval = 0;

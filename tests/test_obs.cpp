@@ -151,7 +151,23 @@ TEST(ObservedRun, PublishesMetricsTraceAndCounterTracks) {
   EXPECT_EQ(obs.log.dropped(), 0u);
   EXPECT_GT(obs.log.size(), 0u);
   // One subsystem per layer: channel, MAC, protocol, energy, run summary.
-  EXPECT_GT(obs.metrics.counter_total("chan.tx"), 0u);
+  // The channel counters agree with the RunResult exactly, total and per
+  // node: a per-node cell sized before the node count was known would
+  // spill its adds into the next metric's cells.
+  EXPECT_EQ(obs.metrics.counter_total("chan.tx"), r.transmissions);
+  EXPECT_EQ(obs.metrics.counter_total("chan.delivered"), r.deliveries);
+  EXPECT_EQ(obs.metrics.counter_total("chan.collisions"), r.collisions);
+  ASSERT_EQ(r.nodes.size(), 9u);
+  for (net::NodeId id = 0; id < 9; ++id) {
+    const harness::NodeResult& n = r.nodes[id];
+    EXPECT_EQ(obs.metrics.counter_node("chan.tx", id), n.tx_total) << id;
+    EXPECT_EQ(obs.metrics.counter_node("chan.delivered", id), n.rx_total)
+        << id;
+    EXPECT_EQ(obs.metrics.counter_node("chan.collisions", id),
+              n.collisions_suffered)
+        << id;
+    EXPECT_EQ(obs.metrics.counter_node("node.completions", id), 1u) << id;
+  }
   EXPECT_GT(obs.metrics.counter_total("mac.tx"), 0u);
   EXPECT_GT(obs.metrics.counter_total("mnp.data_sent"), 0u);
   EXPECT_GT(obs.metrics.gauge_total("energy.nah"), 0.0);

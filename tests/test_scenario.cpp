@@ -216,6 +216,30 @@ TEST(ScenarioEngine, RejectsInvalidScenariosBeforeBoot) {
           .build("dup");
   EXPECT_NE(harness::run_experiment(cfg).scenario_error.find("two groups"),
             std::string::npos);
+
+  // Waypoints off the field node positions may occupy: parsed text (what
+  // --scenario and POST /runs take) and the builder are refused alike.
+  for (const char* to : {"nan 0", "0 inf", "-inf 5", "1e300 0"}) {
+    const auto parsed = scenario::parse_scenario_text(
+        std::string("at 5s move 3 to ") + to + "\n");
+    ASSERT_TRUE(parsed.ok) << to;
+    cfg.scenario = parsed.scenario;
+    const auto r_far = harness::run_experiment(cfg);
+    EXPECT_NE(r_far.scenario_error.find("waypoint"), std::string::npos) << to;
+    EXPECT_EQ(r_far.completed_count, 0u) << to;
+  }
+  cfg.scenario =
+      ScenarioBuilder{}.move(sim::sec(5), 3, 0.0, -1.01 * net::kMaxCoordinateFt)
+          .build("far");
+  EXPECT_NE(harness::run_experiment(cfg).scenario_error.find("waypoint"),
+            std::string::npos);
+  // The field's corner itself is a legal waypoint.
+  cfg.max_sim_time = sim::sec(30);
+  cfg.scenario = ScenarioBuilder{}
+                     .move(sim::sec(5), 3, net::kMaxCoordinateFt,
+                           -net::kMaxCoordinateFt, sim::sec(3))
+                     .build("corner");
+  EXPECT_TRUE(harness::run_experiment(cfg).scenario_error.empty());
 }
 
 TEST(ScenarioEngine, PermanentKillLeavesTheNodeDeadAndOthersConverge) {

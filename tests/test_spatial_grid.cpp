@@ -1,10 +1,12 @@
 // SpatialGrid unit tests, the incremental-repair property (repairing a
 // dirty row after moves must equal a from-scratch rebuild), and harness
-// level bit-identity of runs with the grid path on vs. off.
+// level bit-identity of runs on the grid-backed cache vs. the brute-force
+// neighbor_cache=false oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -148,7 +150,7 @@ TEST(IncrementalRepair, RepairedRowsMatchFromScratchRebuild) {
   EXPECT_LT(channel.cache_repairs() - builds, 40ull * 2ull * kNodes);
 }
 
-// --- whole-run bit-identity: grid on vs. off ------------------------------
+// --- whole-run bit-identity: cached path vs. the brute-force oracle -------
 
 harness::ExperimentConfig small_run(std::uint64_t seed) {
   harness::ExperimentConfig cfg;
@@ -160,24 +162,42 @@ harness::ExperimentConfig small_run(std::uint64_t seed) {
   return cfg;
 }
 
+harness::ExperimentConfig oracle(harness::ExperimentConfig cfg) {
+  cfg.channel.neighbor_cache = false;
+  return cfg;
+}
+
+// "Same bytes out", not "statistically similar": every field must match.
 void expect_identical(const harness::RunResult& a, const harness::RunResult& b,
                       std::uint64_t seed) {
-  EXPECT_EQ(a.all_completed, b.all_completed) << "seed " << seed;
-  EXPECT_EQ(a.completion_time, b.completion_time) << "seed " << seed;
-  EXPECT_EQ(a.transmissions, b.transmissions) << "seed " << seed;
-  EXPECT_EQ(a.deliveries, b.deliveries) << "seed " << seed;
-  EXPECT_EQ(a.collisions, b.collisions) << "seed " << seed;
-  EXPECT_EQ(a.sender_order, b.sender_order) << "seed " << seed;
-  EXPECT_EQ(a.timeline, b.timeline) << "seed " << seed;
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  EXPECT_EQ(a.all_completed, b.all_completed);
+  EXPECT_EQ(a.completed_count, b.completed_count);
+  EXPECT_EQ(a.completion_time, b.completion_time);
+  EXPECT_EQ(a.transmissions, b.transmissions);
+  EXPECT_EQ(a.deliveries, b.deliveries);
+  EXPECT_EQ(a.collisions, b.collisions);
+  EXPECT_EQ(a.bulk_overlaps, b.bulk_overlaps);
+  EXPECT_EQ(a.sender_order, b.sender_order);
+  EXPECT_EQ(a.timeline, b.timeline);
+  ASSERT_EQ(a.nodes.size(), b.nodes.size());
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+    EXPECT_EQ(a.nodes[i].completion, b.nodes[i].completion);
+    EXPECT_EQ(a.nodes[i].active_radio, b.nodes[i].active_radio);
+    EXPECT_EQ(a.nodes[i].tx_total, b.nodes[i].tx_total);
+    EXPECT_EQ(a.nodes[i].rx_total, b.nodes[i].rx_total);
+    EXPECT_EQ(a.nodes[i].eeprom_writes, b.nodes[i].eeprom_writes);
+    EXPECT_EQ(a.nodes[i].energy_nah, b.nodes[i].energy_nah);
+    EXPECT_EQ(a.nodes[i].image_verified, b.nodes[i].image_verified);
+  }
 }
 
 TEST(GridRunEquivalence, StaticRunsAreBitIdenticalAcrossSeeds) {
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    harness::ExperimentConfig with_grid = small_run(seed);
-    harness::ExperimentConfig without = small_run(seed);
-    without.channel.grid_index = false;
-    expect_identical(harness::run_experiment(with_grid),
-                     harness::run_experiment(without), seed);
+  for (const std::uint64_t seed :
+       {1ull, 2ull, 3ull, 11ull, 57ull, 302ull, 9001ull}) {
+    const harness::ExperimentConfig cfg = small_run(seed);
+    expect_identical(harness::run_experiment(cfg),
+                     harness::run_experiment(oracle(cfg)), seed);
   }
 }
 
@@ -189,12 +209,10 @@ TEST(GridRunEquivalence, MobilityAndPartitionRunsAreBitIdentical) {
     b.partition(sim::minutes(4), sim::minutes(2), {{0, 1, 2, 3}, {12, 13, 14, 15}});
     b.degrade(sim::minutes(7), sim::minutes(1), 0.5, {5, 6});
 
-    harness::ExperimentConfig with_grid = small_run(seed);
-    with_grid.scenario = b.build("churn");
-    harness::ExperimentConfig without = with_grid;
-    without.channel.grid_index = false;
-    expect_identical(harness::run_experiment(with_grid),
-                     harness::run_experiment(without), seed);
+    harness::ExperimentConfig cfg = small_run(seed);
+    cfg.scenario = b.build("churn");
+    expect_identical(harness::run_experiment(cfg),
+                     harness::run_experiment(oracle(cfg)), seed);
   }
 }
 

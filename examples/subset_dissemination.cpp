@@ -68,10 +68,10 @@ int main() {
                  const net::NodeId id = static_cast<net::NodeId>(r * kCols + c);
                  const bool left = c < kCols / 2;
                  const bool base = id == 0 || id == kCols - 1;
-                 std::string cell(1, left ? 's' : 't');
-                 if (base) cell[0] = static_cast<char>(cell[0] - 32);  // upper
-                 if (!apps[id]->has_complete_image()) cell = ".";
-                 return cell;
+                 char cell = left ? 's' : 't';
+                 if (base) cell = static_cast<char>(cell - 32);  // upper
+                 if (!apps[id]->has_complete_image()) cell = '.';
+                 return std::string(1, cell);
                });
   return correct == network.size() ? 0 : 1;
 }

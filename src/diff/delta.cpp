@@ -49,7 +49,7 @@ void Delta::append_copy(std::uint32_t old_offset, std::uint32_t length) {
       }
     }
   }
-  ops_.push_back(CopyOp{old_offset, length});
+  ops_.emplace_back(std::in_place_type<CopyOp>, old_offset, length);
 }
 
 void Delta::append_literal(const std::uint8_t* data, std::size_t length) {
@@ -173,7 +173,7 @@ std::optional<Delta> Delta::parse(const std::vector<std::uint8_t>& bytes) {
       if (!get_u32(bytes, pos, offset) || !get_u32(bytes, pos, length)) {
         return std::nullopt;
       }
-      delta.ops_.push_back(CopyOp{offset, length});
+      delta.ops_.emplace_back(std::in_place_type<CopyOp>, offset, length);
     } else if (tag == 'L') {
       std::uint32_t length = 0;
       if (!get_u32(bytes, pos, length)) return std::nullopt;

@@ -28,6 +28,8 @@ struct NodeResult {
   std::uint64_t collisions_suffered = 0;
   double energy_nah = 0.0;      // Table-1 pricing of the whole run
   bool image_verified = false;  // byte-exact against the oracle
+
+  bool operator==(const NodeResult&) const = default;
 };
 
 struct RunResult {
@@ -62,6 +64,9 @@ struct RunResult {
   /// Non-empty when the scenario failed validation; the run is aborted
   /// before boot and every other field is default.
   std::string scenario_error;
+
+  /// Every field, exactly: bit-identity checks compare whole results.
+  bool operator==(const RunResult&) const = default;
 
   // --- aggregates -----------------------------------------------------
   double avg_active_radio_s() const;

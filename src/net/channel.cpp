@@ -132,6 +132,26 @@ void Channel::sync_world() const {
   }
   cache_topo_version_ = tv;
   cache_links_revision_ = lr;
+  // After recording the versions, so refresh_reach's own scale_for calls
+  // find the world in sync.
+  if (params_.neighbor_cache) refresh_reach();
+}
+
+void Channel::refresh_reach() const {
+  // Reach answers from the *current* row, as if every query re-read it:
+  // a move or link window can add or drop listeners from the row of a
+  // transmission already in flight (its candidates stay as enrolled).
+  const std::size_t n = topo_.size();
+  for (const auto& tx : active_) {
+    if (tx->src >= n) continue;
+    ScaleCache& cache = scale_for(tx->pkt().power_scale);
+    ensure_row(cache, tx->src);
+    const std::vector<NodeId>& row = cache.neighbors[tx->src];
+    if (row == tx->reached) continue;
+    for (const NodeId r : tx->reached) --listeners_[r].reach;
+    tx->reached.assign(row.begin(), row.end());
+    for (const NodeId r : tx->reached) ++listeners_[r].reach;
+  }
 }
 
 Channel::ScaleCache& Channel::scale_for(double power_scale) const {
@@ -205,15 +225,10 @@ void Channel::rebuild_row(ScaleCache& cache, NodeId src) const {
     }
   }
   cache.clear_dirty(src);
+  // A row may hold any id below the topology size: each needs a Listener.
+  if (listeners_.size() < topo_.size()) listeners_.resize(topo_.size());
   ++cache_repairs_;
   if (metrics_) metrics_->add(m_cache_repairs_);
-}
-
-bool Channel::row_reaches(ScaleCache& cache, NodeId src, NodeId dst) const {
-  if (src >= cache.neighbors.size()) return false;
-  ensure_row(cache, src);
-  const std::vector<NodeId>& nbr = cache.neighbors[src];
-  return std::binary_search(nbr.begin(), nbr.end(), dst);
 }
 
 std::pair<std::vector<NodeId>, std::vector<double>>
@@ -226,15 +241,12 @@ Channel::neighbor_row_for_test(double power_scale, NodeId src) const {
 
 bool Channel::carrier_busy(NodeId listener) const {
   if (params_.neighbor_cache) {
-    const std::size_t n = topo_.size();
-    for (const auto& tx : active_) {
-      if (tx->src == listener) return true;  // own transmission in flight
-      if (listener < n &&
-          row_reaches(scale_for(tx->pkt().power_scale), tx->src, listener)) {
-        return true;
-      }
+    if (active_.empty()) return false;
+    if (listener < own_in_flight_.size() && own_in_flight_[listener] != 0) {
+      return true;  // own transmission in flight
     }
-    return false;
+    sync_world();  // reach must reflect the rows as they are now
+    return listener < listeners_.size() && listeners_[listener].reach != 0;
   }
   for (const auto& tx : active_) {
     if (tx->src == listener) return true;
@@ -258,20 +270,36 @@ std::shared_ptr<Channel::Active> Channel::acquire_active() {
   return std::make_shared<Active>();
 }
 
-void Channel::corrupt_candidate(Active& tx, std::size_t candidate_index) {
-  tx.corrupted[candidate_index] = true;
+void Channel::count_collision(NodeId victim) {
+  ++collisions_;
+  if (metrics_) metrics_->add(m_collisions_, victim);
+  if (observer_) observer_->on_collision(victim, sim_.now());
 }
 
-void Channel::corrupt_listener(Active& tx, NodeId id) {
-  // Candidate lists are ascending in both the cached and the brute-force
-  // path, so membership is a binary search, not a scan.
-  const auto it =
-      std::lower_bound(tx.candidates.begin(), tx.candidates.end(), id);
-  if (it != tx.candidates.end() && *it == id) {
-    corrupt_candidate(
-        tx, static_cast<std::size_t>(it - tx.candidates.begin()));
-  }
+void Channel::count_bulk_overlap() {
+  ++bulk_overlaps_;
+  if (metrics_) metrics_->add(m_bulk_overlaps_);
 }
+
+namespace {
+
+/// True when two ascending id lists share an element.
+bool intersects(const std::vector<NodeId>& a, const std::vector<NodeId>& b) {
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    if (*i < *j) {
+      ++i;
+    } else if (*j < *i) {
+      ++j;
+    } else {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 void Channel::begin_transmission(NodeId src, Packet pkt) {
   begin_transmission(src, pool_.adopt(std::move(pkt)));
@@ -293,90 +321,116 @@ void Channel::begin_transmission(NodeId src, FramePtr frame) {
   // decode probability rides along so delivery never re-queries the link
   // model. Both paths enumerate in ascending node order, and the listening
   // filter reads the SoA byte array — no Radio dereference per neighbor.
-  const std::size_t n = topo_.size();
-  ScaleCache* tx_cache = nullptr;
   if (params_.neighbor_cache) {
-    tx_cache = &scale_for(tx->pkt().power_scale);
-    if (src < n) {
-      ensure_row(*tx_cache, src);
-      const auto& neighbors = tx_cache->neighbors[src];
-      const auto& success = tx_cache->success[src];
-      tx->candidates.reserve(neighbors.size());
-      for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        const NodeId id = neighbors[i];
-        if (id >= listening_.size() || !listening_[id]) continue;
-        tx->candidates.push_back(id);
-        tx->success.push_back(success[i]);
-        tx->corrupted.push_back(false);
-      }
-    }
+    enroll_cached(*tx);
   } else {
-    for (NodeId id = 0; id < radios_.size(); ++id) {
-      if (id == src || id >= listening_.size() || !listening_[id]) continue;
-      if (!links_.interferes(src, id, tx->pkt().power_scale)) continue;
-      tx->candidates.push_back(id);
-      tx->success.push_back(
-          links_.packet_success(src, id, tx->pkt().power_scale));
-      tx->corrupted.push_back(false);
+    enroll_oracle(*tx);
+  }
+
+  tx->index = active_.size();
+  active_.push_back(tx);
+  sim_.scheduler().post_at(tx->end, [this, tx] { end_transmission(tx); });
+}
+
+void Channel::enroll_cached(Active& tx) {
+  const NodeId src = tx.src;
+  ScaleCache& cache = scale_for(tx.pkt().power_scale);
+  if (src >= own_in_flight_.size()) own_in_flight_.resize(src + 1, 0);
+  ++own_in_flight_[src];
+  if (src >= topo_.size()) return;  // reaches nobody
+  ensure_row(cache, src);
+  const std::vector<NodeId>& row = cache.neighbors[src];
+  const std::vector<double>& success = cache.success[src];
+  tx.reached.assign(row.begin(), row.end());
+  tx.candidates.reserve(row.size());
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    const NodeId r = row[i];
+    Listener& at = listeners_[r];
+    // A listener reached by two sources decodes neither packet: every
+    // reception still alive here dies now...
+    if (at.live != 0) {
+      for (; at.live != 0; --at.live) count_collision(r);
+      ++at.epoch;
     }
+    // ...and this one is born dead if another in-flight row holds r.
+    const bool hit = at.reach != 0;
+    ++at.reach;
+    if (r >= listening_.size() || !listening_[r]) continue;
+    tx.candidates.push_back(r);
+    tx.success.push_back(success[i]);
+    tx.corrupted.push_back(hit);
+    tx.enrolled.push_back(at.epoch);
+    if (hit) {
+      count_collision(r);
+    } else {
+      ++at.live;
+    }
+  }
+
+  // Concurrent bulk-sender monitor (paper: "at most one sender active in
+  // any neighborhood"): two overlapping code transmissions whose sources
+  // interfere with each other or share a reachable listener.
+  if (!tx.bulk) return;
+  for (const auto& other : active_) {
+    if (!other->bulk) continue;
+    const bool mutual =
+        std::binary_search(tx.reached.begin(), tx.reached.end(), other->src) ||
+        std::binary_search(other->reached.begin(), other->reached.end(), src);
+    if (mutual || intersects(tx.candidates, other->reached)) {
+      count_bulk_overlap();
+    }
+  }
+}
+
+void Channel::enroll_oracle(Active& tx) {
+  const NodeId src = tx.src;
+  const double ps = tx.pkt().power_scale;
+  for (NodeId id = 0; id < radios_.size(); ++id) {
+    if (id == src || id >= listening_.size() || !listening_[id]) continue;
+    if (!links_.interferes(src, id, ps)) continue;
+    tx.candidates.push_back(id);
+    tx.success.push_back(links_.packet_success(src, id, ps));
+    tx.corrupted.push_back(false);
   }
 
   // Cross-corruption with every transmission already in flight: a listener
   // reached by both sources decodes neither packet.
   for (const auto& other : active_) {
-    ScaleCache* other_cache =
-        params_.neighbor_cache ? &scale_for(other->pkt().power_scale) : nullptr;
     const auto other_reaches = [&](NodeId at) {
-      return other_cache
-                 ? row_reaches(*other_cache, other->src, at)
-                 : links_.interferes(other->src, at, other->pkt().power_scale);
+      return links_.interferes(other->src, at, other->pkt().power_scale);
     };
     const auto tx_reaches = [&](NodeId at) {
-      return tx_cache ? row_reaches(*tx_cache, src, at)
-                      : links_.interferes(src, at, tx->pkt().power_scale);
+      return links_.interferes(src, at, ps);
     };
-    for (std::size_t i = 0; i < tx->candidates.size(); ++i) {
-      const NodeId r = tx->candidates[i];
-      if (!tx->corrupted[i] && other_reaches(r)) {
-        corrupt_candidate(*tx, i);
-        ++collisions_;
-        if (metrics_) metrics_->add(m_collisions_, r);
-        if (observer_) observer_->on_collision(r, sim_.now());
+    for (std::size_t i = 0; i < tx.candidates.size(); ++i) {
+      const NodeId r = tx.candidates[i];
+      if (!tx.corrupted[i] && other_reaches(r)) {
+        tx.corrupted[i] = true;
+        count_collision(r);
       }
     }
     for (std::size_t i = 0; i < other->candidates.size(); ++i) {
       const NodeId r = other->candidates[i];
       if (!other->corrupted[i] && tx_reaches(r)) {
-        corrupt_candidate(*other, i);
-        ++collisions_;
-        if (metrics_) metrics_->add(m_collisions_, r);
-        if (observer_) observer_->on_collision(r, sim_.now());
+        other->corrupted[i] = true;
+        count_collision(r);
       }
     }
-    // Concurrent bulk-sender monitor (paper: "at most one sender active in
-    // any neighborhood"): two overlapping code transmissions whose sources
-    // interfere with each other or share a reachable listener.
-    if (tx->bulk && other->bulk) {
+    // Concurrent bulk-sender monitor, as in enroll_cached.
+    if (tx.bulk && other->bulk) {
       const bool mutual = tx_reaches(other->src) || other_reaches(src);
       bool shared_victim = false;
       if (!mutual) {
-        for (const NodeId r : tx->candidates) {
+        for (const NodeId r : tx.candidates) {
           if (other_reaches(r)) {
             shared_victim = true;
             break;
           }
         }
       }
-      if (mutual || shared_victim) {
-        ++bulk_overlaps_;
-        if (metrics_) metrics_->add(m_bulk_overlaps_);
-      }
+      if (mutual || shared_victim) count_bulk_overlap();
     }
   }
-
-  tx->index = active_.size();
-  active_.push_back(tx);
-  sim_.scheduler().post_at(tx->end, [this, tx] { end_transmission(tx); });
 }
 
 void Channel::radio_started_listening(NodeId id) {
@@ -386,9 +440,21 @@ void Channel::radio_started_listening(NodeId id) {
 
 void Channel::radio_stopped_listening(NodeId id) {
   if (id < listening_.size()) listening_[id] = 0;
+  // Mid-packet loss of the listener: every packet in flight to it is gone.
+  if (params_.neighbor_cache) {
+    if (id < listeners_.size() && listeners_[id].live != 0) {
+      listeners_[id].live = 0;
+      ++listeners_[id].epoch;
+    }
+    return;
+  }
   for (const auto& tx : active_) {
-    // Mid-packet loss of the listener: the packet is gone for it.
-    corrupt_listener(*tx, id);
+    // Candidate lists are ascending, so membership is a binary search.
+    const auto& cand = tx->candidates;
+    const auto it = std::lower_bound(cand.begin(), cand.end(), id);
+    if (it != cand.end() && *it == id) {
+      tx->corrupted[static_cast<std::size_t>(it - cand.begin())] = true;
+    }
   }
 }
 
@@ -402,8 +468,23 @@ void Channel::unlink_active(const std::shared_ptr<Active>& tx) {
   active_.pop_back();
 }
 
+void Channel::settle_cached(Active& tx) {
+  --own_in_flight_[tx.src];
+  for (const NodeId r : tx.reached) --listeners_[r].reach;
+  for (std::size_t i = 0; i < tx.candidates.size(); ++i) {
+    if (tx.corrupted[i]) continue;
+    Listener& at = listeners_[tx.candidates[i]];
+    if (at.epoch != tx.enrolled[i]) {
+      tx.corrupted[i] = true;  // killed while in flight
+    } else {
+      --at.live;
+    }
+  }
+}
+
 void Channel::end_transmission(const std::shared_ptr<Active>& tx) {
   unlink_active(tx);
+  if (params_.neighbor_cache) settle_cached(*tx);
   for (std::size_t i = 0; i < tx->candidates.size(); ++i) {
     if (tx->corrupted[i]) continue;
     const NodeId r = tx->candidates[i];
@@ -426,6 +507,8 @@ void Channel::end_transmission(const std::shared_ptr<Active>& tx) {
     tx->candidates.clear();
     tx->success.clear();
     tx->corrupted.clear();
+    tx->reached.clear();
+    tx->enrolled.clear();
     retired_active_.push_back(tx);
   }
 }

@@ -15,23 +15,31 @@
 // A receiver must be listening when a packet *starts* (preamble) and keep
 // listening until it ends; going off / transmitting mid-packet drops it.
 //
-// Hot-path structure (DESIGN.md section 11): per transmit power scale the
-// channel caches each node's interference neighbor row (ascending NodeId,
-// decode success cached per edge). Rows are *sparse* — reachability is a
-// binary search of the source's row, never an N^2 bitset — and are built
-// and repaired through a spatial-hash grid (SpatialGrid) sized to the
-// link model's interference radius, so one row costs O(neighbors), not
-// O(N). World changes repair incrementally: Topology::set_position and
-// scenario link windows mark only the affected sources dirty (per-scale
-// dirty bitset, repaired on next access) instead of discarding every
-// cache. The node-listening flags live in a struct-of-arrays byte vector
-// so candidate filtering never chases Radio pointers.
+// Hot-path structure (DESIGN.md sections 6 and 11): per transmit power
+// scale the channel caches each node's interference neighbor row
+// (ascending NodeId, decode success cached per edge). Rows are *sparse*
+// and are built and repaired through a spatial-hash grid (SpatialGrid)
+// sized to the link model's interference radius, so one row costs
+// O(neighbors), not O(N). World changes repair incrementally:
+// Topology::set_position and scenario link windows mark only the affected
+// sources dirty (per-scale dirty bitset, repaired on next access) instead
+// of discarding every cache.
+//
+// Collision accounting is O(row), independent of how many transmissions
+// are in flight: each listener keeps how many in-flight rows hold it
+// (`reach`), how many receptions are still alive at it (`live`) and an
+// epoch bumped whenever those receptions all die. A transmission walks
+// its own row once when it begins and once when it ends; carrier sense
+// and a listener going deaf are O(1). The node-listening flags live in a
+// struct-of-arrays byte vector so candidate filtering never chases Radio
+// pointers.
 //
 // One fast path, one oracle: the grid-backed row cache above is the only
 // cached path, and Params::neighbor_cache=false is its reference — brute-
-// force O(N) scans with no cache at all, kept for equivalence diffing.
-// Both enumerate candidates in ascending node order, so they consume the
-// RNG identically and whole runs are bit-for-bit comparable.
+// force O(N) scans and an all-actives cross-check with no cache at all,
+// kept for equivalence diffing. Both enumerate candidates in ascending
+// node order, so they consume the RNG identically and whole runs are
+// bit-for-bit comparable.
 #pragma once
 
 #include <cstdint>
@@ -152,13 +160,25 @@ class Channel {
     std::vector<NodeId> candidates;  // listening-at-start, interfered, ascending
     std::vector<double> success;     // decode probability, parallel to candidates
     std::vector<bool> corrupted;     // parallel to candidates
+    // Cached path only: the row this transmission is counted into
+    // Listener::reach with, and each candidate's Listener::epoch at
+    // enrolment (parallel to candidates).
+    std::vector<NodeId> reached;
+    std::vector<std::uint32_t> enrolled;
 
     const Packet& pkt() const { return *frame; }
   };
 
+  /// Per-listener in-flight state of the cached path (index = NodeId).
+  struct Listener {
+    std::uint32_t reach = 0;  // in-flight transmissions whose row holds it
+    std::uint32_t live = 0;   // receptions in flight here, not yet corrupted
+    std::uint32_t epoch = 0;  // bumped whenever every live reception dies
+  };
+
   /// Neighbor rows + per-edge decode success for one power scale. Rows
-  /// are per-source (struct-of-arrays: ids and success side by side) —
-  /// reachability is a binary search, so nothing here is O(N^2).
+  /// are per-source (struct-of-arrays: ids and success side by side), so
+  /// nothing here is O(N^2).
   struct ScaleCache {
     double power_scale = 1.0;
     double radius = -1.0;  // max interference range; < 0 = no finite bound
@@ -194,8 +214,11 @@ class Channel {
   ScaleCache& scale_for(double power_scale) const;
   ScaleCache& build_scale(double power_scale) const;
   /// Applies pending topology moves / link-revision changes to the grid
-  /// and dirty bitsets. Two integer compares when nothing changed.
+  /// and dirty bitsets, then re-counts the reach of every in-flight
+  /// transmission whose row changed. Two integer compares when nothing
+  /// changed.
   void sync_world() const;
+  void refresh_reach() const;
   void apply_move(const Topology::MoveRecord& mv) const;
   /// Marks every source whose row could involve a node at `p` dirty in
   /// `cache` (grid query within the scale's radius; everything when the
@@ -209,18 +232,23 @@ class Channel {
     if (cache.dirty_count != 0 && cache.row_dirty(src)) rebuild_row(cache, src);
   }
   void rebuild_row(ScaleCache& cache, NodeId src) const;
-  /// Sparse reachability: does `src` interfere at `dst` at this scale?
-  bool row_reaches(ScaleCache& cache, NodeId src, NodeId dst) const;
   void publish_grid_gauges() const;
 
   /// Fetches a transmission record, recycling a retired one when the
   /// scheduler has let go of it (its completion lambda holds a reference
   /// until it fires, so only use_count()==1 entries are reusable).
   std::shared_ptr<Active> acquire_active();
-  void corrupt_candidate(Active& tx, std::size_t candidate_index);
-  /// Marks `id` corrupted in `tx` if it is a candidate (binary search —
-  /// candidate lists are ascending).
-  void corrupt_listener(Active& tx, NodeId id);
+  /// Cached path: one walk of the source's row enrolls candidates and
+  /// settles every collision the new transmission causes or suffers.
+  void enroll_cached(Active& tx);
+  /// Oracle: O(N) candidate scan, then the all-actives cross-check.
+  void enroll_oracle(Active& tx);
+  /// Cached path: releases `tx`'s reach and freezes its candidates'
+  /// corruption flags. Runs before the first delivery, whose handlers may
+  /// turn radios off or start new transmissions.
+  void settle_cached(Active& tx);
+  void count_collision(NodeId victim);
+  void count_bulk_overlap();
   void end_transmission(const std::shared_ptr<Active>& tx);
   void unlink_active(const std::shared_ptr<Active>& tx);
 
@@ -235,6 +263,14 @@ class Channel {
   /// radio state machines: the candidate filter touches one byte per
   /// neighbor instead of dereferencing a Radio per node.
   std::vector<std::uint8_t> listening_;
+  /// Cached path: own transmissions in flight per source (carrier sense's
+  /// "own transmission" rule). Grown on demand: radios may use ids beyond
+  /// the topology.
+  std::vector<std::uint32_t> own_in_flight_;
+  /// Cached path's per-listener state, grown with the rows to cover every
+  /// id they can hold; mutable because a world change re-counts reach from
+  /// const queries.
+  mutable std::vector<Listener> listeners_;
   std::vector<std::shared_ptr<Active>> active_;
   std::vector<std::shared_ptr<Active>> retired_active_;  // reuse candidates
   // Lazily built, small (one entry per distinct power scale seen); mutable

@@ -12,6 +12,7 @@
 // overhearing is how MNP fights the hidden terminal problem).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -251,6 +252,10 @@ enum class PacketType : std::uint8_t {
   kNcastCoded,
 };
 
+/// Number of PacketType values: flat per-type tables index by the enum.
+inline constexpr std::size_t kPacketTypeCount =
+    static_cast<std::size_t>(PacketType::kNcastCoded) + 1;
+
 /// Human-readable type tag for reports.
 std::string to_string(PacketType type);
 
@@ -269,6 +274,8 @@ using Payload =
                  MoapPublishMsg, MoapSubscribeMsg, MoapDataMsg, MoapNackMsg,
                  XnpDataMsg, XnpQueryMsg, XnpFixRequestMsg, NcastAdvMsg,
                  NcastReqMsg, NcastCodedMsg>;
+static_assert(std::variant_size_v<Payload> == kPacketTypeCount,
+              "one PacketType per Payload alternative");
 
 struct Packet {
   NodeId src = kNoNode;

@@ -2,29 +2,24 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 
 namespace mnp::node {
 
 std::uint64_t NodeStats::total_sent() const {
-  std::uint64_t n = 0;
-  for (const auto& [type, count] : sent) n += count;
-  return n;
+  return std::accumulate(sent.begin(), sent.end(), std::uint64_t{0});
 }
 
 std::uint64_t NodeStats::total_received() const {
-  std::uint64_t n = 0;
-  for (const auto& [type, count] : received) n += count;
-  return n;
+  return std::accumulate(received.begin(), received.end(), std::uint64_t{0});
 }
 
 std::uint64_t NodeStats::sent_of(net::PacketType t) const {
-  auto it = sent.find(t);
-  return it == sent.end() ? 0 : it->second;
+  return sent[static_cast<std::size_t>(t)];
 }
 
 std::uint64_t NodeStats::received_of(net::PacketType t) const {
-  auto it = received.find(t);
-  return it == received.end() ? 0 : it->second;
+  return received[static_cast<std::size_t>(t)];
 }
 
 MsgClass classify(net::PacketType t) {
@@ -77,7 +72,9 @@ void StatsCollector::set_metrics(obs::MetricsRegistry* metrics) {
 
 void StatsCollector::on_transmit(net::NodeId src, const net::Packet& pkt,
                                  sim::Time now) {
-  if (src < nodes_.size()) ++nodes_[src].sent[pkt.type()];
+  if (src < nodes_.size()) {
+    ++nodes_[src].sent[static_cast<std::size_t>(pkt.type())];
+  }
   const std::int64_t minute = now / sim::minutes(1);
   ++timeline_[minute][static_cast<std::size_t>(classify(pkt.type()))];
   if (event_log_) {
@@ -88,7 +85,9 @@ void StatsCollector::on_transmit(net::NodeId src, const net::Packet& pkt,
 
 void StatsCollector::on_deliver(net::NodeId src, net::NodeId dst,
                                 const net::Packet& pkt, sim::Time now) {
-  if (dst < nodes_.size()) ++nodes_[dst].received[pkt.type()];
+  if (dst < nodes_.size()) {
+    ++nodes_[dst].received[static_cast<std::size_t>(pkt.type())];
+  }
   if (event_log_) {
     // "Data<5" — type plus sender, so the trace exporter can pair this
     // delivery with node 5's transmission and draw a flow arrow. Stack

@@ -20,8 +20,9 @@
 namespace mnp::node {
 
 struct NodeStats {
-  std::map<net::PacketType, std::uint64_t> sent;
-  std::map<net::PacketType, std::uint64_t> received;
+  // Indexed by PacketType.
+  std::array<std::uint64_t, net::kPacketTypeCount> sent{};
+  std::array<std::uint64_t, net::kPacketTypeCount> received{};
   std::uint64_t collisions_suffered = 0;
 
   sim::Time completion_time = sim::kNever;  // full image verified

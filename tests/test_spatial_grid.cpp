@@ -1,7 +1,8 @@
 // SpatialGrid unit tests, the incremental-repair property (repairing a
 // dirty row after moves must equal a from-scratch rebuild), and harness
 // level bit-identity of runs on the grid-backed cache vs. the brute-force
-// neighbor_cache=false oracle.
+// neighbor_cache=false oracle: every protocol, static and churned worlds,
+// whole RunResults plus audit chains.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "harness/observe.hpp"
 #include "harness/sweep.hpp"
 #include "net/channel.hpp"
 #include "net/link_model.hpp"
@@ -167,29 +169,17 @@ harness::ExperimentConfig oracle(harness::ExperimentConfig cfg) {
   return cfg;
 }
 
-// "Same bytes out", not "statistically similar": every field must match.
+// "Same bytes out", not "statistically similar": the defaulted operator==
+// compares every field of the run and of every node. The headline counters
+// are checked first only so that a failure says where the runs parted.
 void expect_identical(const harness::RunResult& a, const harness::RunResult& b,
                       std::uint64_t seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
-  EXPECT_EQ(a.all_completed, b.all_completed);
-  EXPECT_EQ(a.completed_count, b.completed_count);
-  EXPECT_EQ(a.completion_time, b.completion_time);
   EXPECT_EQ(a.transmissions, b.transmissions);
   EXPECT_EQ(a.deliveries, b.deliveries);
   EXPECT_EQ(a.collisions, b.collisions);
   EXPECT_EQ(a.bulk_overlaps, b.bulk_overlaps);
-  EXPECT_EQ(a.sender_order, b.sender_order);
-  EXPECT_EQ(a.timeline, b.timeline);
-  ASSERT_EQ(a.nodes.size(), b.nodes.size());
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    EXPECT_EQ(a.nodes[i].completion, b.nodes[i].completion);
-    EXPECT_EQ(a.nodes[i].active_radio, b.nodes[i].active_radio);
-    EXPECT_EQ(a.nodes[i].tx_total, b.nodes[i].tx_total);
-    EXPECT_EQ(a.nodes[i].rx_total, b.nodes[i].rx_total);
-    EXPECT_EQ(a.nodes[i].eeprom_writes, b.nodes[i].eeprom_writes);
-    EXPECT_EQ(a.nodes[i].energy_nah, b.nodes[i].energy_nah);
-    EXPECT_EQ(a.nodes[i].image_verified, b.nodes[i].image_verified);
-  }
+  EXPECT_TRUE(a == b) << "RunResults differ beyond the headline counters";
 }
 
 TEST(GridRunEquivalence, StaticRunsAreBitIdenticalAcrossSeeds) {
@@ -201,19 +191,92 @@ TEST(GridRunEquivalence, StaticRunsAreBitIdenticalAcrossSeeds) {
   }
 }
 
-TEST(GridRunEquivalence, MobilityAndPartitionRunsAreBitIdentical) {
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    scenario::ScenarioBuilder b;
-    b.move(sim::minutes(2), 5, 35.0, 5.0, sim::sec(30));
-    b.move(sim::minutes(3), 10, 0.0, 25.0, sim::sec(20));
-    b.partition(sim::minutes(4), sim::minutes(2), {{0, 1, 2, 3}, {12, 13, 14, 15}});
-    b.degrade(sim::minutes(7), sim::minutes(1), 0.5, {5, 6});
+// The protocol x world matrix: every protocol on a 4x4 and an 8x8 grid,
+// seeds 1-3, in a static world, under a crash wave whose victims reboot,
+// and under scripted moves + a partition + a degrade window. Each cached
+// run must equal its oracle run in every RunResult field and in its
+// determinism-audit chain (DESIGN.md section 12). XNP is single-hop and
+// does not complete at 8x8 on either path; its runs are compared anyway.
+enum class World { kStatic, kCrashReboot, kMoveCutDegrade };
 
-    harness::ExperimentConfig cfg = small_run(seed);
-    cfg.scenario = b.build("churn");
-    expect_identical(harness::run_experiment(cfg),
-                     harness::run_experiment(oracle(cfg)), seed);
+harness::ExperimentConfig matrix_run(harness::Protocol protocol,
+                                     std::size_t side, std::uint64_t seed,
+                                     World world) {
+  harness::ExperimentConfig cfg = small_run(seed);
+  cfg.protocol = protocol;
+  cfg.rows = side;
+  cfg.cols = side;
+  scenario::ScenarioBuilder b;
+  switch (world) {
+    case World::kStatic:
+      break;
+    case World::kCrashReboot:
+      b.crash_fraction(sim::minutes(1), 0.25, sim::sec(45));
+      cfg.scenario = b.build("crash-reboot");
+      break;
+    case World::kMoveCutDegrade:
+      b.move(sim::minutes(2), 5, 35.0, 5.0, sim::sec(30));
+      b.move(sim::minutes(3), 10, 0.0, 25.0, sim::sec(20));
+      b.partition(sim::minutes(4), sim::minutes(2),
+                  {{0, 1, 2, 3}, {12, 13, 14, 15}});
+      b.degrade(sim::minutes(7), sim::minutes(1), 0.5, {5, 6});
+      cfg.scenario = b.build("move-cut-degrade");
+      break;
   }
+  return cfg;
+}
+
+struct AuditedRun {
+  harness::RunResult result;
+  std::uint64_t chain = 0;
+};
+
+AuditedRun audited_run(const harness::ExperimentConfig& cfg) {
+  harness::Observation obs;
+  obs.with_trace = false;
+  obs.energy_sample_interval = 0;
+  obs.with_audit = true;
+  AuditedRun run;
+  run.result = harness::run_experiment(cfg, &obs);
+  run.chain = obs.audit.chain();
+  return run;
+}
+
+void expect_matches_oracle(harness::Protocol protocol) {
+  for (const std::size_t side : {4u, 8u}) {
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      for (const World world :
+           {World::kStatic, World::kCrashReboot, World::kMoveCutDegrade}) {
+        SCOPED_TRACE(std::to_string(side) + "x" + std::to_string(side) +
+                     " world " + std::to_string(static_cast<int>(world)));
+        const harness::ExperimentConfig cfg =
+            matrix_run(protocol, side, seed, world);
+        const AuditedRun cached = audited_run(cfg);
+        const AuditedRun brute = audited_run(oracle(cfg));
+        ASSERT_TRUE(cached.result.scenario_error.empty())
+            << cached.result.scenario_error;
+        expect_identical(cached.result, brute.result, seed);
+        EXPECT_EQ(cached.chain, brute.chain) << "seed " << seed;
+      }
+    }
+  }
+}
+
+// One test per protocol, so a parallel ctest spreads the matrix.
+TEST(GridRunEquivalence, MnpMatchesOracle) {
+  expect_matches_oracle(harness::Protocol::kMnp);
+}
+TEST(GridRunEquivalence, DelugeMatchesOracle) {
+  expect_matches_oracle(harness::Protocol::kDeluge);
+}
+TEST(GridRunEquivalence, MoapMatchesOracle) {
+  expect_matches_oracle(harness::Protocol::kMoap);
+}
+TEST(GridRunEquivalence, XnpMatchesOracle) {
+  expect_matches_oracle(harness::Protocol::kXnp);
+}
+TEST(GridRunEquivalence, NcastMatchesOracle) {
+  expect_matches_oracle(harness::Protocol::kNcast);
 }
 
 TEST(GridRunEquivalence, SweepIsBitIdenticalAcrossJobCounts) {

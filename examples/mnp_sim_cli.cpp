@@ -117,6 +117,11 @@ int main(int argc, char** argv) {
       usage(argv[0]);
     }
   }
+  std::string config_error;
+  if (!harness::check_config(cfg, &config_error)) {
+    std::cerr << config_error << "\n";
+    return 2;
+  }
 
   const std::string title = std::string(harness::protocol_name(cfg.protocol)) +
                             " " + std::to_string(cfg.rows) + "x" +

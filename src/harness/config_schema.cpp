@@ -6,6 +6,7 @@
 #include <limits>
 #include <ostream>
 #include <type_traits>
+#include <utility>
 
 #include "obs/json_writer.hpp"
 
@@ -355,8 +356,6 @@ std::vector<ConfigField> build_fields() {
                                           "packets per segment"),
       field<mnp, &M::payload_bytes>("mnp_payload_bytes",
                                     "code bytes per data packet"),
-      field<mnp, &M::eeprom_base_offset>("mnp_eeprom_base_offset",
-                                         "EEPROM offset of the image"),
       field<mnp, &M::adv_rounds_before_decision>(
           "mnp_adv_rounds_before_decision",
           "advertisements before a source decides (K)"),
@@ -597,6 +596,24 @@ void write_config_fields(obs::JsonWriter& w, const ExperimentConfig& cfg) {
       }
     }
   }
+}
+
+bool check_config(const ExperimentConfig& cfg, std::string* error) {
+  const std::size_t nodes = cfg.rows * cfg.cols;
+  std::string message;
+  if (nodes > net::kMaxNodes) {
+    message = "rows x cols = " + std::to_string(nodes) +
+              " nodes, more than the " + std::to_string(net::kMaxNodes) +
+              " that 16-bit node ids can address";
+  } else if (cfg.base >= nodes) {
+    message = "base " + std::to_string(cfg.base) + " is not one of the " +
+              std::to_string(nodes) + " nodes (ids 0.." +
+              std::to_string(nodes - 1) + ")";
+  } else {
+    return true;
+  }
+  if (error != nullptr) *error = std::move(message);
+  return false;
 }
 
 ConfigArg apply_config_arg(ExperimentConfig& cfg, int argc, char** argv,

@@ -79,6 +79,12 @@ bool apply_config_option(ExperimentConfig& cfg, std::string_view key,
 /// Writes every rendered row as a member of the JSON object `w` is in.
 void write_config_fields(obs::JsonWriter& w, const ExperimentConfig& cfg);
 
+/// The cross-field checks no single row can make: the grid has at most
+/// net::kMaxNodes nodes, and `base` is one of them. Surfaces call it once,
+/// after their last option, so option order cannot matter. False with
+/// *error set when a check fails.
+bool check_config(const ExperimentConfig& cfg, std::string* error);
+
 /// The exchange unit of the surfaces: (key, value-as-text).
 using ConfigOption = std::pair<std::string, std::string>;
 

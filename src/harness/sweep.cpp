@@ -94,8 +94,8 @@ std::size_t effective_sweep_jobs(std::size_t resolved, std::size_t runs,
   std::size_t jobs = std::min(std::max<std::size_t>(resolved, 1), runs);
   if (!allow_oversubscribe) {
     // Seeds are CPU-bound with no I/O to overlap, so threads beyond the
-    // core count only add context switches (BENCH_sweep.json measured
-    // jobs=2/4 at 0.82x/0.87x of sequential on a 1-core host).
+    // core count only add context switches (jobs=2/4 measured 0.82x/0.87x
+    // of sequential on a 1-core host).
     jobs = std::min(jobs, std::max<std::size_t>(hardware, 1));
   }
   return jobs;

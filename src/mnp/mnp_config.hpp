@@ -17,11 +17,6 @@ struct MnpConfig {
   /// Code bytes per data packet.
   std::size_t payload_bytes = 22;
 
-  /// Where in EEPROM incoming payload bytes land. 0 = raw start (the
-  /// simulation default); a boot-managed mote points this at
-  /// BootManager::staging_payload_offset().
-  std::size_t eeprom_base_offset = 0;
-
   // --- sender selection ------------------------------------------------
   /// K: advertisements sent continuously (without sleeping) before the
   /// source decides to forward (if ReqCtr > 0) or slow down.

@@ -1,6 +1,7 @@
 #include "net/channel.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "net/radio.hpp"
@@ -14,6 +15,8 @@ Channel::Channel(sim::Simulator& sim, const Topology& topo,
       links_(links),
       params_(params),
       rng_(sim.fork_rng(0xC4A27EFULL)) {
+  // Past kMaxNodes, ids wrap onto other nodes and onto kBroadcastId.
+  assert(topo_.size() <= kMaxNodes);
   radios_.resize(topo_.size(), nullptr);
   listening_.resize(topo_.size(), 0);
 }

@@ -1,7 +1,6 @@
 #include "net/link_model.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace mnp::net {
 
@@ -63,59 +62,6 @@ bool EmpiricalLinkModel::interferes(NodeId src, NodeId dst,
   if (src == dst || src >= n_ || dst >= n_) return false;
   return topo_.node_distance(src, dst) <=
          params_.range_ft * params_.interference_factor * power_scale;
-}
-
-ShadowingLinkModel::ShadowingLinkModel(const Topology& topo, Params params,
-                                       sim::Rng rng)
-    : topo_(topo), params_(params), n_(topo.size()) {
-  shadow_db_.resize(n_ * n_, 0.0);
-  for (std::size_t i = 0; i < n_ * n_; ++i) {
-    shadow_db_[i] = rng.normal(0.0, params_.shadowing_stddev_db);
-    max_shadow_db_ = std::max(max_shadow_db_, shadow_db_[i]);
-  }
-}
-
-double ShadowingLinkModel::max_interference_range(double power_scale) const {
-  if (power_scale <= 0.0) return 0.0;
-  // interferes() needs margin_db(d) + shadow > -interference_margin_db;
-  // with shadow <= max_shadow_db_ that bounds d by
-  // R * ps * 10^((interference_margin + max_shadow) / (10 n)).
-  return params_.range_ft * power_scale *
-         std::pow(10.0, (params_.interference_margin_db + max_shadow_db_) /
-                            (10.0 * params_.path_loss_exponent));
-}
-
-double ShadowingLinkModel::margin_db(double distance_ft,
-                                     double power_scale) const {
-  if (distance_ft <= 0.0) distance_ft = 0.1;
-  if (power_scale <= 0.0) return -1e9;
-  // Power scaling moves the 0 dB distance proportionally: margin =
-  // 10 * n * log10(range * power_scale / d).
-  const double effective_range = params_.range_ft * power_scale;
-  return 10.0 * params_.path_loss_exponent *
-         std::log10(effective_range / distance_ft);
-}
-
-double ShadowingLinkModel::packet_success(NodeId src, NodeId dst,
-                                          double power_scale) const {
-  if (src == dst || src >= n_ || dst >= n_) return 0.0;
-  const double margin =
-      margin_db(topo_.node_distance(src, dst), power_scale) +
-      shadow_db_[static_cast<std::size_t>(src) * n_ + dst];
-  // Logistic transition around 0 dB margin.
-  const double z = margin / params_.transition_width_db;
-  const double p = 1.0 / (1.0 + std::exp(-z));
-  // Clamp the far tail to a hard zero so candidate sets stay bounded.
-  return p < 0.01 ? 0.0 : std::min(p, 0.99);
-}
-
-bool ShadowingLinkModel::interferes(NodeId src, NodeId dst,
-                                    double power_scale) const {
-  if (src == dst || src >= n_ || dst >= n_) return false;
-  const double margin =
-      margin_db(topo_.node_distance(src, dst), power_scale) +
-      shadow_db_[static_cast<std::size_t>(src) * n_ + dst];
-  return margin > -params_.interference_margin_db;
 }
 
 }  // namespace mnp::net

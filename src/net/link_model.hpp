@@ -110,41 +110,4 @@ class EmpiricalLinkModel final : public LinkModel {
   std::size_t n_;
 };
 
-/// Log-normal shadowing: the standard statistical radio model. Received
-/// power follows path loss with exponent `path_loss_exponent` plus a
-/// per-directed-edge Gaussian shadowing term (dB); a packet decodes when
-/// the resulting SNR margin clears zero, mapped to a success probability
-/// through a logistic transition. Compared with EmpiricalLinkModel this
-/// produces longer-tailed link quality: occasional good long links and
-/// bad short ones, as observed in real deployments.
-class ShadowingLinkModel final : public LinkModel {
- public:
-  struct Params {
-    double range_ft = 25.0;            // distance of 0 dB margin at nominal power
-    double path_loss_exponent = 3.0;   // outdoor ground deployments: 2.7-3.5
-    double shadowing_stddev_db = 4.0;  // per-edge sigma
-    double transition_width_db = 3.0;  // logistic softness around the margin
-    double interference_margin_db = 8.0;  // extra reach of interference
-  };
-
-  ShadowingLinkModel(const Topology& topo, Params params, sim::Rng rng);
-
-  double packet_success(NodeId src, NodeId dst, double power_scale) const override;
-  bool interferes(NodeId src, NodeId dst, double power_scale) const override;
-  /// Interference needs margin > -interference_margin_db even with the
-  /// largest shadowing boost sampled at construction, which inverts to a
-  /// finite distance bound.
-  double max_interference_range(double power_scale) const override;
-
-  /// Deterministic part: margin in dB at distance d for full power.
-  double margin_db(double distance_ft, double power_scale) const;
-
- private:
-  const Topology& topo_;
-  Params params_;
-  std::vector<double> shadow_db_;  // per directed edge
-  double max_shadow_db_ = 0.0;     // largest sampled boost, for the bound
-  std::size_t n_;
-};
-
 }  // namespace mnp::net

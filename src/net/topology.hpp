@@ -21,7 +21,10 @@ struct Position {
 // config schema bounds grid sides and distances (harness/config_schema),
 // and the scenario engine bounds waypoints to the same field. Every node
 // then sits within kMaxCoordinateFt of the origin on each axis, which
-// keeps the spatial grid's int32 cell coordinates in range.
+// keeps the spatial grid's int32 cell coordinates in range. A network
+// holds at most kMaxNodes: ids 0 .. kBroadcastId - 1 are the unicast
+// addresses a 16-bit NodeId leaves.
+inline constexpr std::size_t kMaxNodes = kBroadcastId;
 inline constexpr double kMaxNodesPerSide = 65535;
 inline constexpr double kMaxDistanceFt = 1000;
 inline constexpr double kMaxCoordinateFt =

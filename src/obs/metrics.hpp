@@ -47,7 +47,9 @@ namespace mnp::obs {
 /// node.completions / node.segments_completed have one cell per node
 /// (through v5 they were registered before the node count was set, so
 /// their per-node adds spilled into the next metrics' cells).
-inline constexpr int kTelemetrySchemaVersion = 6;
+/// v7: the config block loses mnp_eeprom_base_offset (the image always
+/// starts at EEPROM offset 0).
+inline constexpr int kTelemetrySchemaVersion = 7;
 
 enum class Unit : std::uint8_t {
   kCount,

@@ -48,7 +48,7 @@ std::string canonical_manifest(const harness::ExperimentConfig& cfg,
   obs::JsonWriter w;
   w.begin_object();
   w.key("manifest_version");
-  w.value(3);
+  w.value(4);
 
   // Every row of the config schema, values spelled exactly, so two
   // configs that differ in any of them never collide. Knobs of protocols

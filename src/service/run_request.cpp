@@ -86,6 +86,7 @@ RunRequestResult parse_run_request(const JsonValue& body) {
       }
     }
   }
+  if (!harness::check_config(out.request.cfg, &out.error)) return out;
 
   if (!out.scenario_text.empty()) {
     const scenario::ParseResult parsed =

@@ -1,5 +1,7 @@
 // Channel semantics: delivery, half-duplex, collisions (including hidden
-// terminals), carrier sense, and the concurrent-bulk-sender monitor.
+// terminals), carrier sense, the concurrent-bulk-sender monitor, and the
+// cached path against its neighbor_cache=false oracle, including the link
+// queries and row builds the cache saves.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -649,6 +651,91 @@ TEST(ChannelLinkRevision, RevisionBumpInvalidatesTheNeighborCache) {
   sim.run_until(sim::sec(3));
   EXPECT_EQ(heard, 2u);
   EXPECT_EQ(channel.cache_invalidations(), 2u);
+}
+
+// --- the cache's work, counted: link-model queries and rows built ---------
+
+/// Forwards to `inner` and counts every packet_success/interferes call.
+class CountingLinkModel final : public LinkModel {
+ public:
+  explicit CountingLinkModel(const LinkModel& inner) : inner_(inner) {}
+
+  double packet_success(NodeId src, NodeId dst, double ps) const override {
+    ++calls_;
+    return inner_.packet_success(src, dst, ps);
+  }
+  bool interferes(NodeId src, NodeId dst, double ps) const override {
+    ++calls_;
+    return inner_.interferes(src, dst, ps);
+  }
+  double max_interference_range(double ps) const override {
+    return inner_.max_interference_range(ps);
+  }
+  std::uint64_t calls() const { return calls_; }
+
+ private:
+  const LinkModel& inner_;
+  mutable std::uint64_t calls_ = 0;
+};
+
+struct RepeatedBroadcasts {
+  std::uint64_t link_calls = 0;  // after the warm-up broadcast
+  std::uint64_t rows_built = 0;  // after the warm-up broadcast
+  std::uint64_t deliveries = 0;  // warm-up included
+};
+
+/// On a 30x30 empirical-links grid, one warm-up broadcast from node 450
+/// (row 15, on the left edge), then `broadcasts` more from it, none
+/// overlapping.
+RepeatedBroadcasts repeated_broadcasts(Channel::Params cp, int broadcasts) {
+  sim::Simulator sim(1);
+  const Topology topo = Topology::grid(30, 30, 10.0);
+  const EmpiricalLinkModel empirical(topo, EmpiricalLinkModel::Params{},
+                                     sim.fork_rng(0x11A7));
+  CountingLinkModel links(empirical);
+  Channel channel(sim, topo, links, cp);
+  std::vector<std::unique_ptr<energy::EnergyMeter>> meters;
+  std::vector<std::unique_ptr<Radio>> radios;
+  for (NodeId id = 0; id < topo.size(); ++id) {
+    meters.push_back(std::make_unique<energy::EnergyMeter>());
+    radios.push_back(std::make_unique<Radio>(id, sim.scheduler(), channel,
+                                             *meters.back()));
+    channel.register_radio(*radios.back());
+    radios.back()->turn_on();
+  }
+  DataMsg d;
+  d.payload.assign(22, 1);
+  Packet pkt;
+  pkt.payload = std::move(d);
+  const auto broadcast = [&] {
+    radios[450]->start_transmission(pkt);
+    sim.run_until(sim.now() + sim::sec(1));
+  };
+  broadcast();
+  const std::uint64_t calls = links.calls();
+  const std::uint64_t rows = channel.cache_repairs();
+  for (int i = 0; i < broadcasts; ++i) broadcast();
+  return {links.calls() - calls, channel.cache_repairs() - rows,
+          channel.deliveries()};
+}
+
+// Once a source's row is built, its broadcasts ask the link model nothing:
+// the row holds the interference neighbours and their decode successes.
+// On every broadcast the oracle asks interferes() of all 899 other nodes
+// and packet_success() of the 28 it reaches. A cache lookup that misses
+// and rebuilds shows up here as link calls and rows built; a timing ratio
+// sees it only once the slowdown is large.
+TEST(ChannelNeighborCache, SteadyStateBroadcastsQueryNoLinks) {
+  constexpr int kBroadcasts = 400;
+  const RepeatedBroadcasts cached =
+      repeated_broadcasts(grid_params(), kBroadcasts);
+  const RepeatedBroadcasts brute =
+      repeated_broadcasts(brute_params(), kBroadcasts);
+  EXPECT_EQ(cached.link_calls, 0u);
+  EXPECT_EQ(cached.rows_built, 0u);
+  EXPECT_EQ(brute.link_calls, 927u * kBroadcasts);
+  EXPECT_EQ(cached.deliveries, brute.deliveries);
+  EXPECT_EQ(cached.deliveries, 2248u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The one config schema (DESIGN.md section 15): every row moves both
 // manifests, the input surface is a pinned list of request keys and CLI
 // flags, and input values are rejected instead of truncated, within
-// bounds that a simulation runs at.
+// bounds that a simulation runs at. Across rows, the grid must fit the
+// 16-bit node ids and hold its base.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "harness/config_schema.hpp"
@@ -260,6 +262,41 @@ TEST(ConfigSchema, RejectsMalformedAndOutOfRangeValues) {
     EXPECT_FALSE(harness::apply_config_option(cfg, key, "1", &error)) << key;
     EXPECT_EQ(error, "unknown option '" + std::string(key) + "'");
   }
+}
+
+// No single row sees that rows x cols outgrows the 16-bit node ids, or
+// that base names no node; check_config does, once every option is in.
+TEST(ConfigSchema, RefusesNetworksNodeIdsCannotAddress) {
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--rows", "256", "--cols", "256"},
+        std::vector<std::string>{"--cols", "256", "--rows", "256"}}) {
+    ExperimentConfig cfg;
+    parse_cli(args, &cfg);
+    std::string error;
+    EXPECT_FALSE(harness::check_config(cfg, &error)) << args[0];
+    EXPECT_NE(error.find("65535"), std::string::npos) << error;
+  }
+  for (const auto& [rows, cols] :
+       {std::pair<const char*, const char*>{"255", "257"}, {"65535", "1"}}) {
+    ExperimentConfig cfg;
+    parse_cli({"--rows", rows, "--cols", cols}, &cfg);
+    std::string error;
+    EXPECT_TRUE(harness::check_config(cfg, &error)) << error;
+  }
+
+  const auto too_many =
+      service::parse_run_request_text(R"({"config":{"rows":256,"cols":256}})");
+  EXPECT_FALSE(too_many.ok);
+  EXPECT_NE(too_many.error.find("65535"), std::string::npos)
+      << too_many.error;
+  const auto no_such_base = service::parse_run_request_text(
+      R"({"config":{"base":16,"rows":4,"cols":4}})");
+  EXPECT_FALSE(no_such_base.ok);
+  EXPECT_NE(no_such_base.error.find("base 16"), std::string::npos)
+      << no_such_base.error;
+  const auto last_node = service::parse_run_request_text(
+      R"({"config":{"base":15,"rows":4,"cols":4}})");
+  EXPECT_TRUE(last_node.ok) << last_node.error;
 }
 
 // CLI -> JSON request -> config reproduces the CLI's config exactly, for

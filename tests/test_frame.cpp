@@ -1,6 +1,7 @@
-// Shared-frame flyweight tests: FramePtr refcounting, FramePool recycling,
-// and whole rendered traces of the shared-frame, cached-channel path
-// against the brute-force neighbor_cache=false oracle.
+// Shared-frame flyweight tests: FramePtr refcounting, FramePool recycling
+// (in the pool and through the channel), and whole rendered traces of the
+// shared-frame, cached-channel path against the brute-force
+// neighbor_cache=false oracle.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,7 +9,9 @@
 #include <vector>
 
 #include "mnp/mnp_node.hpp"
+#include "net/channel.hpp"
 #include "net/frame.hpp"
+#include "net/radio.hpp"
 #include "node/network.hpp"
 #include "sim/simulator.hpp"
 #include "trace/event_log.hpp"
@@ -72,6 +75,34 @@ TEST(FramePool, ReclaimsDataPayloadCapacity) {
   EXPECT_TRUE(buf.empty());
   EXPECT_GE(buf.capacity(), 64u);  // recycled, not freshly allocated
   EXPECT_EQ(pool.pooled_payloads(), 0u);
+}
+
+// The same through the channel: 2,001 data broadcasts from node 450 of a
+// 30x30 grid (row 15, on the left edge), each heard by the 38 nodes of a
+// 45 ft half-disc, share one frame node. A pool that freed its nodes
+// instead would allocate one per broadcast.
+TEST(FramePool, ChannelBroadcastsAllocateOneNode) {
+  sim::Simulator sim(1);
+  const Topology topo = Topology::grid(30, 30, 10.0);
+  const DiskLinkModel links(topo, 45.0);
+  Channel channel(sim, topo, links);
+  std::vector<std::unique_ptr<energy::EnergyMeter>> meters;
+  std::vector<std::unique_ptr<Radio>> radios;
+  for (NodeId id = 0; id < topo.size(); ++id) {
+    meters.push_back(std::make_unique<energy::EnergyMeter>());
+    radios.push_back(std::make_unique<Radio>(id, sim.scheduler(), channel,
+                                             *meters.back()));
+    channel.register_radio(*radios.back());
+    radios.back()->turn_on();
+  }
+  const Packet pkt = data_packet();
+  for (int i = 0; i < 2001; ++i) {
+    radios[450]->start_transmission(pkt);
+    sim.run_until(sim.now() + sim::sec(1));
+  }
+  EXPECT_EQ(channel.transmissions(), 2001u);
+  EXPECT_EQ(channel.deliveries(), 2001u * 38);
+  EXPECT_LE(channel.frame_pool().node_allocations(), 1u);
 }
 
 TEST(FramePool, FrameMayOutliveThePool) {

@@ -1,12 +1,9 @@
 // Unit tests for the disk and empirical link models.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cmath>
 
-#include "mnp/mnp_node.hpp"
 #include "net/link_model.hpp"
-#include "node/network.hpp"
-#include "sim/simulator.hpp"
 
 namespace mnp::net {
 namespace {
@@ -118,101 +115,6 @@ TEST(EmpiricalLinkModel, LowerPowerNeverHelps) {
     const double half = m.packet_success(0, j, 0.5);
     EXPECT_LE(half, full + 1e-12) << "link 0->" << j;
   }
-}
-
-
-TEST(ShadowingLinkModel, MarginMonotoneInDistance) {
-  Topology t = line_topology(10.0, 2);
-  ShadowingLinkModel m(t, {}, sim::Rng(1));
-  double prev = 1e9;
-  for (double d = 5.0; d <= 100.0; d += 5.0) {
-    const double margin = m.margin_db(d, 1.0);
-    EXPECT_LT(margin, prev);
-    prev = margin;
-  }
-  // 0 dB exactly at the nominal range.
-  ShadowingLinkModel::Params p;
-  EXPECT_NEAR(m.margin_db(p.range_ft, 1.0), 0.0, 1e-9);
-}
-
-TEST(ShadowingLinkModel, SuccessFollowsMargin) {
-  Topology t = line_topology(5.0, 12);
-  ShadowingLinkModel::Params p;
-  p.shadowing_stddev_db = 0.0;  // deterministic for this test
-  ShadowingLinkModel m(t, p, sim::Rng(2));
-  // Close (5 ft, margin >> 0): near-certain. Far (55 ft, margin << 0):
-  // deep in the logistic tail; the hard cutoff clips the extreme tail.
-  EXPECT_GT(m.packet_success(0, 1, 1.0), 0.9);
-  EXPECT_LT(m.packet_success(0, 11, 1.0), 0.05);
-  EXPECT_DOUBLE_EQ(m.margin_db(250.0, 1.0) > 0 ? 1.0 : 0.0, 0.0);
-  // Monotone in between.
-  double prev = 1.0;
-  for (NodeId j = 1; j < 12; ++j) {
-    const double s = m.packet_success(0, j, 1.0);
-    EXPECT_LE(s, prev + 1e-12);
-    prev = s;
-  }
-}
-
-TEST(ShadowingLinkModel, ShadowingMakesLinksAsymmetric) {
-  Topology t = line_topology(22.0, 2);
-  ShadowingLinkModel::Params p;
-  p.shadowing_stddev_db = 6.0;
-  bool saw_asymmetry = false;
-  for (std::uint64_t seed = 0; seed < 8 && !saw_asymmetry; ++seed) {
-    ShadowingLinkModel m(t, p, sim::Rng(seed));
-    if (std::abs(m.packet_success(0, 1, 1.0) - m.packet_success(1, 0, 1.0)) >
-        1e-3) {
-      saw_asymmetry = true;
-    }
-  }
-  EXPECT_TRUE(saw_asymmetry);
-}
-
-TEST(ShadowingLinkModel, InterferenceReachesBeyondDecoding) {
-  Topology t = line_topology(10.0, 8);
-  ShadowingLinkModel::Params p;
-  p.shadowing_stddev_db = 0.0;
-  ShadowingLinkModel m(t, p, sim::Rng(3));
-  // Find the farthest decodable node and verify interference reaches past.
-  NodeId last_decodable = 0;
-  for (NodeId j = 1; j < 8; ++j) {
-    if (m.packet_success(0, j, 1.0) > 0.0) last_decodable = j;
-  }
-  ASSERT_GE(last_decodable, 1);
-  if (last_decodable + 1 < 8) {
-    EXPECT_TRUE(m.interferes(0, static_cast<NodeId>(last_decodable + 1), 1.0));
-  }
-}
-
-TEST(ShadowingLinkModel, ZeroPowerIsSilent) {
-  Topology t = line_topology(10.0, 2);
-  ShadowingLinkModel m(t, {}, sim::Rng(4));
-  EXPECT_DOUBLE_EQ(m.packet_success(0, 1, 0.0), 0.0);
-  EXPECT_FALSE(m.interferes(0, 1, 0.0));
-}
-
-TEST(ShadowingIntegration, MnpCompletesOverShadowedLinks) {
-  // Plug the shadowing model into a real dissemination via the Network
-  // link-model factory.
-  sim::Simulator sim(21);
-  node::Network network(
-      sim, Topology::grid(4, 4, 10.0), [&](const Topology& t) {
-        ShadowingLinkModel::Params p;
-        p.range_ft = 30.0;
-        return std::make_unique<ShadowingLinkModel>(t, p, sim.fork_rng(77));
-      });
-  core::MnpConfig cfg;
-  auto image = std::make_shared<const core::ProgramImage>(
-      1, cfg.packets_per_segment * cfg.payload_bytes);
-  for (NodeId id = 0; id < network.size(); ++id) {
-    network.node(id).set_application(
-        id == 0 ? std::make_unique<core::MnpNode>(cfg, image)
-                : std::make_unique<core::MnpNode>(cfg));
-  }
-  network.boot_all();
-  EXPECT_TRUE(sim.run_until_condition(
-      sim::hours(2), [&] { return network.stats().all_completed(); }));
 }
 
 }  // namespace

@@ -109,18 +109,18 @@ TEST(Spec, RejectsUndeclaredStatesSelfLoopsAndDuplicates) {
 TEST(Allowlist, MatchesOnPathSuffix) {
   const lint::Allowlist allow = lint::parse_allowlist(
       "# comment only\n"
-      "determinism src/diff/delta.cpp unordered_multimap  # vetted\n");
+      "determinism src/util/index.cpp unordered_multimap  # vetted\n");
   EXPECT_EQ(allow.size(), 1u);
-  EXPECT_TRUE(allow.allows("determinism", "src/diff/delta.cpp",
+  EXPECT_TRUE(allow.allows("determinism", "src/util/index.cpp",
                            "unordered_multimap"));
-  EXPECT_TRUE(allow.allows("determinism", "/repo/src/diff/delta.cpp",
+  EXPECT_TRUE(allow.allows("determinism", "/repo/src/util/index.cpp",
                            "unordered_multimap"));
   // Suffix match must align on a path component.
-  EXPECT_FALSE(allow.allows("determinism", "src/diff/not_delta.cpp",
+  EXPECT_FALSE(allow.allows("determinism", "src/util/not_index.cpp",
                             "unordered_multimap"));
   EXPECT_FALSE(allow.allows("determinism", "src/other.cpp",
                             "unordered_multimap"));
-  EXPECT_FALSE(allow.allows("hygiene", "src/diff/delta.cpp",
+  EXPECT_FALSE(allow.allows("hygiene", "src/util/index.cpp",
                             "unordered_multimap"));
 }
 
@@ -284,13 +284,13 @@ TEST(Determinism, IgnoresMemberCallsCommentsAndLookalikes) {
 
 TEST(Determinism, FlagsUnorderedContainersUnlessAllowlisted) {
   const lint::SourceFile file{
-      "src/diff/delta.cpp",
+      "src/util/index.cpp",
       "std::unordered_multimap<std::uint64_t, std::size_t> index;\n"};
   const lint::Allowlist empty;
   EXPECT_TRUE(has_diag(lint::check_determinism(file, empty), "determinism",
                        "unordered_multimap"));
   const lint::Allowlist allow = lint::parse_allowlist(
-      "determinism src/diff/delta.cpp unordered_multimap\n");
+      "determinism src/util/index.cpp unordered_multimap\n");
   EXPECT_TRUE(lint::check_determinism(file, allow).empty());
   // The entry is file-scoped: the same container elsewhere still fails.
   const lint::SourceFile other{"src/mnp/mnp_node.cpp", file.content};

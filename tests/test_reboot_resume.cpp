@@ -155,8 +155,7 @@ TEST(RebootResume, MnpNodeResumesFromJournaledSegments) {
   ASSERT_TRUE(sim.run_until_condition(sim::hours(2), [&network] {
     return network.complete_image_count() == network.size();
   }));
-  const auto stored =
-      network.node(8).eeprom().read(mc.eeprom_base_offset, bytes);
+  const auto stored = network.node(8).eeprom().read(0, bytes);
   EXPECT_TRUE(image->matches(stored));
 }
 

@@ -1,13 +1,17 @@
 // SpatialGrid unit tests, the incremental-repair property (repairing a
-// dirty row after moves must equal a from-scratch rebuild), and harness
-// level bit-identity of runs on the grid-backed cache vs. the brute-force
-// neighbor_cache=false oracle: every protocol, static and churned worlds,
-// whole RunResults plus audit chains.
+// dirty row after moves must equal a from-scratch rebuild), raw channel
+// bursts at scale (10k mobile nodes against the oracle, and the largest
+// grid a NodeId can address), and harness level bit-identity of runs on
+// the grid-backed cache vs. the brute-force neighbor_cache=false oracle:
+// every protocol, static and churned worlds, whole RunResults plus audit
+// chains.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -15,6 +19,7 @@
 #include "harness/sweep.hpp"
 #include "net/channel.hpp"
 #include "net/link_model.hpp"
+#include "net/radio.hpp"
 #include "net/spatial_grid.hpp"
 #include "net/topology.hpp"
 #include "scenario/scenario.hpp"
@@ -150,6 +155,109 @@ TEST(IncrementalRepair, RepairedRowsMatchFromScratchRebuild) {
   // touched than 40 moves x 2 scales x 60 rows would cost from scratch.
   EXPECT_GT(channel.cache_repairs(), builds);
   EXPECT_LT(channel.cache_repairs() - builds, 40ull * 2ull * kNodes);
+}
+
+// --- scale: raw channel bursts on large fields ------------------------------
+//
+// No protocol above the channel: every 100 ms, 8 random sources each
+// broadcast one data packet, 500 us apart, so transmissions overlap. A
+// mobile field also teleports 1% of its nodes to random spots in
+// [0, extent)^2 halfway through each burst, as scenario waypoints would.
+
+struct BurstRun {
+  std::uint64_t transmissions = 0;
+  std::uint64_t deliveries = 0;
+  std::uint64_t collisions = 0;
+  std::uint64_t cache_repairs = 0;
+  std::uint64_t cache_invalidations = 0;
+  std::size_t grid_cells = 0;
+};
+
+BurstRun run_bursts(net::Topology topo, double extent, bool mobile,
+                    int bursts, bool neighbor_cache) {
+  sim::Simulator sim(1);
+  net::DiskLinkModel links(topo, 25.0, 1.5);
+  net::Channel::Params cp;
+  cp.neighbor_cache = neighbor_cache;
+  net::Channel channel(sim, topo, links, cp);
+  const std::size_t n = topo.size();
+  std::vector<std::unique_ptr<energy::EnergyMeter>> meters;
+  std::vector<std::unique_ptr<net::Radio>> radios;
+  for (std::size_t i = 0; i < n; ++i) {
+    meters.push_back(std::make_unique<energy::EnergyMeter>());
+    radios.push_back(std::make_unique<net::Radio>(
+        static_cast<net::NodeId>(i), sim.scheduler(), channel, *meters[i]));
+    channel.register_radio(*radios[i]);
+    radios[i]->turn_on();
+  }
+
+  net::Packet pkt;
+  net::DataMsg d;
+  d.payload.assign(22, 1);
+  pkt.payload = std::move(d);
+  sim::Rng traffic(4243);
+  const auto last = static_cast<std::int64_t>(n) - 1;
+  for (int burst = 0; burst < bursts; ++burst) {
+    const auto t0 = static_cast<sim::Time>(burst) * 100000;
+    for (int k = 0; k < 8; ++k) {
+      net::Radio* radio = radios[traffic.uniform_int(0, last)].get();
+      sim.scheduler().schedule_at(t0 + k * 500, [radio, pkt] {
+        radio->start_transmission(pkt);
+      });
+    }
+    if (!mobile) continue;
+    std::vector<std::pair<net::NodeId, net::Position>> hops;
+    for (std::size_t m = 0; m < n / 100; ++m) {
+      const net::Position to{traffic.uniform_real(0.0, extent),
+                             traffic.uniform_real(0.0, extent)};
+      const auto id = static_cast<net::NodeId>(traffic.uniform_int(0, last));
+      hops.emplace_back(id, to);
+    }
+    sim.scheduler().schedule_at(t0 + 50000, [&topo, hops] {
+      for (const auto& [id, to] : hops) topo.set_position(id, to);
+    });
+  }
+  sim.run_until(static_cast<sim::Time>(bursts) * 100000 + 1000000);
+  return {channel.transmissions(), channel.deliveries(),
+          channel.collisions(),    channel.cache_repairs(),
+          channel.cache_invalidations(), channel.grid_cells()};
+}
+
+// 10,000 nodes at about 12 per interference disc, 1% moving per burst:
+// the cached path repairs rows through the grid and must count exactly
+// what the oracle counts.
+TEST(ScaleRun, TenThousandMobileNodesMatchTheOracle) {
+  constexpr std::size_t kNodes = 10000;
+  constexpr double kPerSqFt = 12.0 / (3.14159265358979323846 * 37.5 * 37.5);
+  const double extent = std::sqrt(kNodes / kPerSqFt);
+  const net::Topology topo = random_topology(kNodes, extent, 1235);
+  const BurstRun cached = run_bursts(topo, extent, true, 10, true);
+  const BurstRun brute = run_bursts(topo, extent, true, 10, false);
+  EXPECT_EQ(cached.transmissions, 80u);
+  EXPECT_GT(cached.deliveries, 0u);
+  EXPECT_GT(cached.cache_repairs, 0u);
+  EXPECT_GT(cached.cache_invalidations, 0u);
+  EXPECT_GT(cached.grid_cells, 0u);
+  EXPECT_EQ(cached.transmissions, brute.transmissions);
+  EXPECT_EQ(cached.deliveries, brute.deliveries);
+  EXPECT_EQ(cached.collisions, brute.collisions);
+  // The counts DESIGN.md section 11 quotes.
+  EXPECT_EQ(cached.deliveries, 387u);
+  EXPECT_EQ(cached.collisions, 44u);
+}
+
+// The most nodes a NodeId can address, on a 255x257 grid: the run ends,
+// packets arrive, and rows are built only for sources that transmit.
+TEST(ScaleRun, LargestAddressableGridBuildsRowsOnlyForSenders) {
+  const net::Topology topo = net::Topology::grid(255, 257, 10.0);
+  ASSERT_EQ(topo.size(), net::kMaxNodes);
+  const BurstRun run = run_bursts(topo, 0.0, false, 100, true);
+  EXPECT_EQ(run.transmissions, 800u);
+  EXPECT_GT(run.deliveries, 0u);
+  EXPECT_LE(run.cache_repairs, run.transmissions);
+  // The counts DESIGN.md section 11 quotes.
+  EXPECT_EQ(run.deliveries, 15902u);
+  EXPECT_EQ(run.cache_repairs, 796u);
 }
 
 // --- whole-run bit-identity: cached path vs. the brute-force oracle -------

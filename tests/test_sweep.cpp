@@ -1,6 +1,8 @@
 // Tests for the multi-seed sweep harness.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/sweep.hpp"
 
 namespace mnp::harness {
@@ -90,29 +92,32 @@ TEST(Sweep, ParallelJobsBitIdenticalToSequential) {
   SweepOptions sequential;
   sequential.jobs = 1;
   sequential.keep_raw = true;
-  SweepOptions parallel;
-  parallel.jobs = 4;
-  parallel.keep_raw = true;
-  // Exercise the real thread pool even on a 1-core CI host, where the
-  // oversubscription clamp would otherwise fall back to sequential.
-  parallel.allow_oversubscribe = true;
-
   const auto a = run_sweep(tiny(), 6, /*first_seed=*/20, sequential);
-  const auto b = run_sweep(tiny(), 6, /*first_seed=*/20, parallel);
 
-  EXPECT_EQ(a.runs, b.runs);
-  EXPECT_EQ(a.fully_completed_runs, b.fully_completed_runs);
-  expect_stats_identical(a.completion_s, b.completion_s);
-  expect_stats_identical(a.avg_art_s, b.avg_art_s);
-  expect_stats_identical(a.avg_art_post_adv_s, b.avg_art_post_adv_s);
-  expect_stats_identical(a.avg_msgs, b.avg_msgs);
-  expect_stats_identical(a.collisions, b.collisions);
-  expect_stats_identical(a.bulk_overlaps, b.bulk_overlaps);
-  expect_stats_identical(a.energy_per_node_nah, b.energy_per_node_nah);
-  expect_stats_identical(a.effective_senders, b.effective_senders);
-  ASSERT_EQ(a.raw.size(), b.raw.size());
-  for (std::size_t i = 0; i < a.raw.size(); ++i) {
-    expect_runs_identical(a.raw[i], b.raw[i]);
+  for (const std::size_t jobs : {2u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    SweepOptions parallel;
+    parallel.jobs = jobs;
+    parallel.keep_raw = true;
+    // Exercise the real thread pool even on a 1-core CI host, where the
+    // oversubscription clamp would otherwise fall back to sequential.
+    parallel.allow_oversubscribe = true;
+    const auto b = run_sweep(tiny(), 6, /*first_seed=*/20, parallel);
+
+    EXPECT_EQ(a.runs, b.runs);
+    EXPECT_EQ(a.fully_completed_runs, b.fully_completed_runs);
+    expect_stats_identical(a.completion_s, b.completion_s);
+    expect_stats_identical(a.avg_art_s, b.avg_art_s);
+    expect_stats_identical(a.avg_art_post_adv_s, b.avg_art_post_adv_s);
+    expect_stats_identical(a.avg_msgs, b.avg_msgs);
+    expect_stats_identical(a.collisions, b.collisions);
+    expect_stats_identical(a.bulk_overlaps, b.bulk_overlaps);
+    expect_stats_identical(a.energy_per_node_nah, b.energy_per_node_nah);
+    expect_stats_identical(a.effective_senders, b.effective_senders);
+    ASSERT_EQ(a.raw.size(), b.raw.size());
+    for (std::size_t i = 0; i < a.raw.size(); ++i) {
+      expect_runs_identical(a.raw[i], b.raw[i]);
+    }
   }
 }
 
@@ -126,9 +131,8 @@ TEST(Sweep, MoreJobsThanRunsIsFine) {
 }
 
 TEST(Sweep, EffectiveJobsClampsToHardwareConcurrency) {
-  // The regression BENCH_sweep.json exposed: "auto" on a 1-core host used
-  // to spin up 2-4 workers and run *slower* than sequential. The clamp
-  // caps workers at the core count...
+  // "auto" on a 1-core host used to spin up 2-4 workers and run *slower*
+  // than sequential. The clamp caps workers at the core count...
   EXPECT_EQ(effective_sweep_jobs(4, 100, /*hardware=*/1, false), 1u);
   EXPECT_EQ(effective_sweep_jobs(8, 100, /*hardware=*/4, false), 4u);
   // ...without inflating a smaller request,

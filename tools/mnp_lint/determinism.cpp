@@ -4,9 +4,9 @@
 // pair fully determines every trace byte. Two things silently break that:
 // wall-clock / global-PRNG calls, and iteration over unordered containers
 // feeding any output path. Both are banned by identifier under src/; the
-// per-file allowlist documents vetted exceptions (e.g. the hash index in
-// src/diff/delta.cpp, whose ordering sensitivity is neutralized by a
-// deterministic tie-break).
+// per-file allowlist documents vetted exceptions (e.g. the fleet daemon's
+// one wall-clock access point, src/service/wallclock.cpp, whose readings
+// never reach a simulation).
 
 #include "lexer.hpp"
 #include "lint.hpp"

@@ -24,14 +24,13 @@ DelugeNode::DelugeNode(DelugeConfig config,
 
 void DelugeNode::start(node::Node& node) {
   node_ = &node;
-  if ((metrics_ = node_->stats().metrics()) != nullptr) {
-    m_rounds_ =
-        metrics_->register_counter("deluge.rounds", obs::Unit::kCount, true);
-    m_summaries_ = metrics_->register_counter("deluge.summaries_sent",
-                                              obs::Unit::kCount, true);
-    m_requests_ = metrics_->register_counter("deluge.requests_sent",
-                                             obs::Unit::kCount, true);
-  }
+  metrics_ = &node_->stats().metrics();
+  m_rounds_ =
+      metrics_->register_counter("deluge.rounds", obs::Unit::kCount, true);
+  m_summaries_ = metrics_->register_counter("deluge.summaries_sent",
+                                            obs::Unit::kCount, true);
+  m_requests_ = metrics_->register_counter("deluge.requests_sent",
+                                           obs::Unit::kCount, true);
   node_->radio_on();  // Deluge keeps the radio on for the whole run
   if (image_) {
     version_ = image_->id();
@@ -159,7 +158,7 @@ void DelugeNode::start_round(bool reset_tau) {
     tau_ = std::min(tau_ * 2, config_.tau_high);
   }
   heard_consistent_ = 0;
-  if (metrics_) metrics_->add(m_rounds_, node_->id());
+  metrics_->add(m_rounds_, node_->id());
   const sim::Time t = node_->rng().uniform_int(tau_ / 2, tau_);
   round_timer_ = node_->schedule(t, [this] { round_fired(); });
   round_end_timer_ = node_->schedule(tau_, [this] {
@@ -177,7 +176,7 @@ void DelugeNode::round_fired() {
   summary.complete_pages = complete_pages_;
   summary.program_bytes = program_bytes_;
   pkt.payload = summary;
-  if (node_->send(std::move(pkt)) && metrics_) {
+  if (node_->send(std::move(pkt))) {
     metrics_->add(m_summaries_, node_->id());
   }
 }
@@ -228,7 +227,7 @@ void DelugeNode::send_request() {
   req.page = static_cast<std::uint16_t>(complete_pages_ + 1);
   req.missing = missing_;
   pkt.payload = req;
-  if (node_->send(std::move(pkt)) && metrics_) {
+  if (node_->send(std::move(pkt))) {
     metrics_->add(m_requests_, node_->id());
   }
   rx_idle_timer_.cancel();

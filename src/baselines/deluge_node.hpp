@@ -107,8 +107,8 @@ class DelugeNode final : public node::Application {
   node::Node* node_ = nullptr;
   State state_ = State::kMaintain;
 
-  // Telemetry handles (deluge.* of DESIGN.md section 9), registered at
-  // start() when the harness attached a registry.
+  // Telemetry handles (deluge.* of DESIGN.md section 9), registered in the
+  // network's registry at start().
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::MetricsRegistry::Counter m_rounds_;
   obs::MetricsRegistry::Counter m_summaries_;

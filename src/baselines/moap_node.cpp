@@ -25,12 +25,11 @@ void MoapNode::start(node::Node& node) {
   // Entry guard: nodes boot in Idle (anchors mnp_lint's extraction).
   assert(state_ == State::kIdle);
   node_ = &node;
-  if ((metrics_ = node_->stats().metrics()) != nullptr) {
-    m_publishes_ = metrics_->register_counter("moap.publishes_sent",
-                                              obs::Unit::kCount, true);
-    m_nacks_ = metrics_->register_counter("moap.nacks_sent", obs::Unit::kCount,
-                                          true);
-  }
+  metrics_ = &node_->stats().metrics();
+  m_publishes_ = metrics_->register_counter("moap.publishes_sent",
+                                            obs::Unit::kCount, true);
+  m_nacks_ =
+      metrics_->register_counter("moap.nacks_sent", obs::Unit::kCount, true);
   node_->radio_on();  // MOAP never turns the radio off
   if (image_) {
     version_ = image_->id();
@@ -172,7 +171,7 @@ void MoapNode::send_publish() {
   msg.total_packets = static_cast<std::uint16_t>(total_packets_);
   msg.program_bytes = program_bytes_;
   pkt.payload = msg;
-  if (node_->send(std::move(pkt)) && metrics_) {
+  if (node_->send(std::move(pkt))) {
     metrics_->add(m_publishes_, node_->id());
   }
   // Collect subscriptions for a window; if none, slow down (quiescent
@@ -341,7 +340,7 @@ void MoapNode::maybe_nack() {
     if (!have_[i]) {
       Packet pkt;
       pkt.payload = net::MoapNackMsg{source_, static_cast<std::uint16_t>(i)};
-      if (node_->send(std::move(pkt)) && metrics_) {
+      if (node_->send(std::move(pkt))) {
         metrics_->add(m_nacks_, node_->id());
       }
       last_nack_time_ = now;

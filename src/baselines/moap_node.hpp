@@ -101,8 +101,8 @@ class MoapNode final : public node::Application {
   std::shared_ptr<const core::ProgramImage> image_;
   node::Node* node_ = nullptr;
 
-  // Telemetry handles (moap.* of DESIGN.md section 9), registered at
-  // start() when the harness attached a registry.
+  // Telemetry handles (moap.* of DESIGN.md section 9), registered in the
+  // network's registry at start().
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::MetricsRegistry::Counter m_publishes_;
   obs::MetricsRegistry::Counter m_nacks_;

@@ -144,25 +144,24 @@ void NcastNode::start(node::Node& node) {
   // perturbs the node's timer jitter, so NCast runs stay trace-comparable
   // with the other baselines under the same root seed.
   coeff_rng_ = node_->rng().fork(0x4E43u);  // "NC"
-  if ((metrics_ = node_->stats().metrics()) != nullptr) {
-    m_rounds_ =
-        metrics_->register_counter("ncast.rounds", obs::Unit::kCount, true);
-    m_advs_ =
-        metrics_->register_counter("ncast.advs_sent", obs::Unit::kCount, true);
-    m_requests_ = metrics_->register_counter("ncast.requests_sent",
-                                             obs::Unit::kCount, true);
-    m_coded_sent_ = metrics_->register_counter("ncast.coded_sent",
-                                               obs::Unit::kCount, true);
-    m_innovative_ = metrics_->register_counter("ncast.innovative",
-                                               obs::Unit::kCount, true);
-    m_redundant_ = metrics_->register_counter("ncast.redundant",
-                                              obs::Unit::kCount, true);
-    m_decode_row_ops_ = metrics_->register_counter("ncast.decode_row_ops",
-                                                   obs::Unit::kCount, true);
-    m_gens_decoded_ = metrics_->register_counter("ncast.generations_decoded",
+  metrics_ = &node_->stats().metrics();
+  m_rounds_ =
+      metrics_->register_counter("ncast.rounds", obs::Unit::kCount, true);
+  m_advs_ =
+      metrics_->register_counter("ncast.advs_sent", obs::Unit::kCount, true);
+  m_requests_ = metrics_->register_counter("ncast.requests_sent",
+                                           obs::Unit::kCount, true);
+  m_coded_sent_ =
+      metrics_->register_counter("ncast.coded_sent", obs::Unit::kCount, true);
+  m_innovative_ =
+      metrics_->register_counter("ncast.innovative", obs::Unit::kCount, true);
+  m_redundant_ =
+      metrics_->register_counter("ncast.redundant", obs::Unit::kCount, true);
+  m_decode_row_ops_ = metrics_->register_counter("ncast.decode_row_ops",
                                                  obs::Unit::kCount, true);
-    m_rank_ = metrics_->register_gauge("ncast.rank", obs::Unit::kCount, true);
-  }
+  m_gens_decoded_ = metrics_->register_counter("ncast.generations_decoded",
+                                               obs::Unit::kCount, true);
+  m_rank_ = metrics_->register_gauge("ncast.rank", obs::Unit::kCount, true);
   node_->radio_on();  // like Deluge: always-on radio, no sleep schedule
   if (image_) {
     program_id_ = image_->id();
@@ -327,7 +326,7 @@ void NcastNode::start_round(bool reset_tau) {
     tau_ = std::min(tau_ * 2, config_.tau_high);
   }
   heard_consistent_ = 0;
-  if (metrics_) metrics_->add(m_rounds_, node_->id());
+  metrics_->add(m_rounds_, node_->id());
   const sim::Time t = node_->rng().uniform_int(tau_ / 2, tau_);
   round_timer_ = node_->schedule(t, [this] { round_fired(); });
   round_end_timer_ = node_->schedule(tau_, [this] {
@@ -347,7 +346,7 @@ void NcastNode::round_fired() {
   adv.gen_size = config_.generation_size;
   adv.cur_rank = cur_rank();
   pkt.payload = adv;
-  if (node_->send(std::move(pkt)) && metrics_) {
+  if (node_->send(std::move(pkt))) {
     metrics_->add(m_advs_, node_->id());
   }
 }
@@ -402,7 +401,7 @@ void NcastNode::send_request() {
   req.gen = static_cast<std::uint16_t>(complete_gens_ + 1);
   req.rank = cur_rank();
   pkt.payload = req;
-  if (node_->send(std::move(pkt)) && metrics_) {
+  if (node_->send(std::move(pkt))) {
     metrics_->add(m_requests_, node_->id());
   }
   rx_idle_timer_.cancel();
@@ -507,7 +506,7 @@ void NcastNode::send_coded(std::uint16_t gen) {
   }
   Packet pkt;
   pkt.payload = std::move(msg);
-  if (node_->send(std::move(pkt)) && metrics_) {
+  if (node_->send(std::move(pkt))) {
     metrics_->add(m_coded_sent_, node_->id());
   }
 }
@@ -529,10 +528,8 @@ void NcastNode::generation_completed() {
   }
   ++complete_gens_;
   decoder_gen_ = 0;  // recycled on demand for the next generation
-  if (metrics_) {
-    metrics_->add(m_gens_decoded_, node_->id());
-    metrics_->set(m_rank_, node_->id(), 0.0);
-  }
+  metrics_->add(m_gens_decoded_, node_->id());
+  metrics_->set(m_rank_, node_->id(), 0.0);
   if (config_.journal_progress) {
     boot::ProgressJournal journal(node_->eeprom());
     if (journal.usable(program_bytes_)) {
@@ -570,12 +567,10 @@ void NcastNode::handle_coded(const Packet& pkt, const net::NcastCodedMsg& msg) {
   const bool innovative =
       decoder_.insert(coeff_scratch_.data(), msg.payload.data(),
                       msg.payload.size());
-  if (metrics_) {
-    metrics_->add(innovative ? m_innovative_ : m_redundant_, node_->id());
-    metrics_->add(m_decode_row_ops_, node_->id(),
-                  decoder_.row_ops() - last_row_ops_);
-    metrics_->set(m_rank_, node_->id(), decoder_.rank());
-  }
+  metrics_->add(innovative ? m_innovative_ : m_redundant_, node_->id());
+  metrics_->add(m_decode_row_ops_, node_->id(),
+                decoder_.row_ops() - last_row_ops_);
+  metrics_->set(m_rank_, node_->id(), decoder_.rank());
   last_row_ops_ = decoder_.row_ops();
   if (state_ == State::kDecode) {
     rx_idle_timer_.cancel();
@@ -584,11 +579,9 @@ void NcastNode::handle_coded(const Packet& pkt, const net::NcastCodedMsg& msg) {
   }
   if (decoder_.complete()) {
     generation_completed();
-    if (metrics_) {
-      // decode() back-substitution work lands on the same counter.
-      metrics_->add(m_decode_row_ops_, node_->id(),
-                    decoder_.row_ops() - last_row_ops_);
-    }
+    // decode() back-substitution work lands on the same counter.
+    metrics_->add(m_decode_row_ops_, node_->id(),
+                  decoder_.row_ops() - last_row_ops_);
     last_row_ops_ = decoder_.row_ops();
   }
 }

@@ -21,14 +21,13 @@ XnpNode::XnpNode(XnpConfig config, std::shared_ptr<const core::ProgramImage> ima
 
 void XnpNode::start(node::Node& node) {
   node_ = &node;
-  if ((metrics_ = node_->stats().metrics()) != nullptr) {
-    m_data_sent_ =
-        metrics_->register_counter("xnp.data_sent", obs::Unit::kCount, true);
-    m_fix_requests_ = metrics_->register_counter("xnp.fix_requests_sent",
-                                                 obs::Unit::kCount, true);
-    m_query_rounds_ = metrics_->register_counter("xnp.query_rounds",
-                                                 obs::Unit::kCount, true);
-  }
+  metrics_ = &node_->stats().metrics();
+  m_data_sent_ =
+      metrics_->register_counter("xnp.data_sent", obs::Unit::kCount, true);
+  m_fix_requests_ = metrics_->register_counter("xnp.fix_requests_sent",
+                                               obs::Unit::kCount, true);
+  m_query_rounds_ = metrics_->register_counter("xnp.query_rounds",
+                                               obs::Unit::kCount, true);
   node_->radio_on();
   if (image_) {
     total_packets_ = static_cast<std::uint32_t>(
@@ -132,7 +131,7 @@ void XnpNode::pump_data() {
                         image_->bytes().begin() + static_cast<long>(offset),
                         image_->bytes().begin() + static_cast<long>(offset + len));
     pkt.payload = std::move(data);
-    if (node_->send(std::move(pkt)) && metrics_) {
+    if (node_->send(std::move(pkt))) {
       metrics_->add(m_data_sent_, node_->id());
     }
   }
@@ -166,7 +165,7 @@ void XnpNode::start_query_round() {
   }
   round_had_requests_ = false;
   set_phase(Phase::kQuery);
-  if (metrics_) metrics_->add(m_query_rounds_, node_->id());
+  metrics_->add(m_query_rounds_, node_->id());
   Packet pkt;
   pkt.payload = net::XnpQueryMsg{static_cast<std::uint16_t>(total_packets_)};
   node_->send(std::move(pkt));
@@ -235,7 +234,7 @@ void XnpNode::handle_query(const net::XnpQueryMsg& msg) {
       if (!have_[i]) {
         Packet pkt;
         pkt.payload = net::XnpFixRequestMsg{static_cast<std::uint16_t>(i)};
-        if (node_->send(std::move(pkt)) && metrics_) {
+        if (node_->send(std::move(pkt))) {
           metrics_->add(m_fix_requests_, node_->id());
         }
         ++sent;

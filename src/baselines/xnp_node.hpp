@@ -76,8 +76,8 @@ class XnpNode final : public node::Application {
   std::shared_ptr<const core::ProgramImage> image_;
   node::Node* node_ = nullptr;
 
-  // Telemetry handles (xnp.* of DESIGN.md section 9), registered at
-  // start() when the harness attached a registry.
+  // Telemetry handles (xnp.* of DESIGN.md section 9), registered in the
+  // network's registry at start().
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::MetricsRegistry::Counter m_data_sent_;
   obs::MetricsRegistry::Counter m_fix_requests_;

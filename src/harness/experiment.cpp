@@ -198,13 +198,10 @@ RunResult run_experiment(const ExperimentConfig& config,
   node::Network network(sim, std::move(topo), link_factory, cfg.channel, {},
                         mac_factory);
 
-  // Telemetry wiring must precede boot: protocols register their metric
-  // handles in Application::start().
+  // Trace wiring must precede boot: radios log from their first flip.
   if (observation) {
     observation->node_count = network.size();
-    network.attach_observability(
-        observation->with_trace ? &observation->log : nullptr,
-        &observation->metrics);
+    if (observation->with_trace) network.attach_event_log(observation->log);
   }
 
   const bool shared_image_ok =
@@ -259,7 +256,10 @@ RunResult run_experiment(const ExperimentConfig& config,
   // Pre-scheduled cumulative-energy samples for the trace's counter
   // tracks. The sampler lambda reads state but never touches an RNG, so
   // an observed run's protocol behaviour is identical to an unobserved
-  // one. Events past the completion time simply never fire.
+  // one. Events past the completion time simply never fire;
+  // `samplers_pending` counts the samplers still queued, so that they
+  // cannot keep a drained run going.
+  std::size_t samplers_pending = 0;
   const bool sample_energy = observation && observation->with_trace &&
                              observation->energy_sample_interval > 0;
   if (sample_energy) {
@@ -283,7 +283,9 @@ RunResult run_experiment(const ExperimentConfig& config,
     }
     node::Network* net_ptr = &network;
     sim::Simulator* sim_ptr = &sim;
-    const auto take_sample = [net_ptr, sim_ptr, observation] {
+    std::size_t* pending = &samplers_pending;
+    const auto take_sample = [net_ptr, sim_ptr, observation, pending] {
+      --*pending;
       const sim::Time now = sim_ptr->now();
       const std::size_t n = net_ptr->size();
       for (net::NodeId id = 0; id < n; ++id) {
@@ -301,6 +303,7 @@ RunResult run_experiment(const ExperimentConfig& config,
     for (sim::Time t = 0; t <= cfg.max_sim_time && scheduled < 20000;
          t += interval, ++scheduled) {
       sim.scheduler().post_at(t, take_sample);
+      ++samplers_pending;
     }
   }
 
@@ -314,7 +317,9 @@ RunResult run_experiment(const ExperimentConfig& config,
       observation->progress_interval > 0) {
     node::Network* net_ptr = &network;
     sim::Simulator* sim_ptr = &sim;
-    const auto sample_progress = [net_ptr, sim_ptr, observation] {
+    std::size_t* pending = &samplers_pending;
+    const auto sample_progress = [net_ptr, sim_ptr, observation, pending] {
+      --*pending;
       RunProgress p;
       p.sim_time = sim_ptr->now();
       p.completed_nodes = net_ptr->stats().completed_count();
@@ -327,28 +332,39 @@ RunResult run_experiment(const ExperimentConfig& config,
     for (sim::Time t = interval; t <= cfg.max_sim_time && scheduled < 20000;
          t += interval, ++scheduled) {
       sim.scheduler().post_at(t, sample_progress);
+      ++samplers_pending;
     }
   }
 
+  // A run whose queue holds only samplers has drained: an unobserved run
+  // stops right there, so an observed one must too.
+  sim::Scheduler& sched = sim.scheduler();
+  const auto drained = [&sched, &samplers_pending] {
+    return sched.pending_events() == samplers_pending;
+  };
   if (engine) {
     // Fault runs cannot stop at "everyone completed": a node may complete,
     // crash, and still have a reboot pending — and a partition window must
     // fully elapse so its closing edge lands in the trace.
-    sim.run_until_condition(cfg.max_sim_time,
-                            [&engine] { return engine->converged(); });
+    sim.run_until_condition(cfg.max_sim_time, [&engine, &drained] {
+      return engine->converged() || drained();
+    });
   } else {
-    sim.run_until_condition(cfg.max_sim_time,
-                            [&stats] { return stats.all_completed(); });
+    sim.run_until_condition(cfg.max_sim_time, [&stats, &drained] {
+      return stats.all_completed() || drained();
+    });
   }
 
-  // ---- observation capture (before any verification EEPROM reads) -------
+  // ---- run-end metrics, observation capture (before any verification
+  // EEPROM reads) ----------------------------------------------------------
+  network.publish_energy_metrics(sim.now());
+  obs::MetricsRegistry& m = network.metrics();
+  m.set(m.register_gauge("run.completed_nodes", obs::Unit::kCount, false),
+        static_cast<double>(stats.completed_count()));
+  m.set(m.register_gauge("run.sim_time_us", obs::Unit::kMicroseconds, false),
+        static_cast<double>(sim.now()));
   if (observation) {
-    network.publish_energy_metrics(sim.now());
-    obs::MetricsRegistry& m = observation->metrics;
-    m.set(m.register_gauge("run.completed_nodes", obs::Unit::kCount, false),
-          static_cast<double>(stats.completed_count()));
-    m.set(m.register_gauge("run.sim_time_us", obs::Unit::kMicroseconds, false),
-          static_cast<double>(sim.now()));
+    observation->metrics = m;
     if (sample_energy) {
       // Close each energy/cache track at the instant the run ended.
       const sim::Time now = sim.now();

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
-#include "util/histogram.hpp"
+#include "util/running_stats.hpp"
 
 namespace mnp::harness {
 

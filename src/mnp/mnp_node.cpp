@@ -30,25 +30,24 @@ void MnpNode::start(node::Node& node) {
   // extraction, which resolves the enter_* calls below against Idle.
   assert(state_ == State::kIdle);
   node_ = &node;
-  if ((metrics_ = node_->stats().metrics()) != nullptr) {
-    // One entry counter per state; registration is idempotent, so all
-    // nodes share the same cells. Names match DESIGN.md section 9.
-    for (std::size_t s = 0; s < 7; ++s) {
-      char name[40];
-      char* p = name;
-      for (const char* c = "mnp.state_entries."; *c != '\0';) *p++ = *c++;
-      for (const char* c = state_cname(static_cast<State>(s)); *c != '\0';) {
-        *p++ = *c++;
-      }
-      m_state_entries_[s] = metrics_->register_counter(
-          std::string_view(name, static_cast<std::size_t>(p - name)),
-          obs::Unit::kCount, true);
+  metrics_ = &node_->stats().metrics();
+  // One entry counter per state; registration is idempotent, so all nodes
+  // share the same cells. Names match DESIGN.md section 9.
+  for (std::size_t s = 0; s < 7; ++s) {
+    char name[40];
+    char* p = name;
+    for (const char* c = "mnp.state_entries."; *c != '\0';) *p++ = *c++;
+    for (const char* c = state_cname(static_cast<State>(s)); *c != '\0';) {
+      *p++ = *c++;
     }
-    m_requests_sent_ = metrics_->register_counter("mnp.requests_sent",
-                                                  obs::Unit::kCount, true);
-    m_data_sent_ =
-        metrics_->register_counter("mnp.data_sent", obs::Unit::kCount, true);
+    m_state_entries_[s] = metrics_->register_counter(
+        std::string_view(name, static_cast<std::size_t>(p - name)),
+        obs::Unit::kCount, true);
   }
+  m_requests_sent_ = metrics_->register_counter("mnp.requests_sent",
+                                                obs::Unit::kCount, true);
+  m_data_sent_ =
+      metrics_->register_counter("mnp.data_sent", obs::Unit::kCount, true);
   // Pipelined segments must keep their MissingVector inside one radio
   // packet; only the basic protocol may use larger (EEPROM-tracked)
   // segments.
@@ -276,10 +275,8 @@ void MnpNode::change_state(State next) {
       log->record(node_->now(), node_->id(), trace::EventKind::kStateChange,
                   std::string_view(buf, static_cast<std::size_t>(p - buf)));
     }
-    if (metrics_) {
-      metrics_->add(m_state_entries_[static_cast<std::size_t>(next)],
-                    node_->id());
-    }
+    metrics_->add(m_state_entries_[static_cast<std::size_t>(next)],
+                  node_->id());
   }
   state_ = next;
 }
@@ -533,7 +530,7 @@ void MnpNode::send_download_request(net::NodeId dest, std::uint8_t req_ctr_echo)
       req.missing = missing_.window(first);
     }
     pkt.payload = req;
-    if (node_->send(std::move(pkt)) && metrics_) {
+    if (node_->send(std::move(pkt))) {
       metrics_->add(m_requests_sent_, node_->id());
     }
   });
@@ -819,7 +816,7 @@ void MnpNode::send_data_packet(std::uint16_t seg, std::uint16_t pkt_id) {
                               payload_len(seg, pkt_id), data.payload);
   }
   pkt.payload = std::move(data);
-  if (node_->send(std::move(pkt)) && metrics_) {
+  if (node_->send(std::move(pkt))) {
     metrics_->add(m_data_sent_, node_->id());
   }
 }

@@ -165,9 +165,9 @@ class MnpNode final : public node::Application {
   std::shared_ptr<const ProgramImage> image_;  // base station only
   node::Node* node_ = nullptr;
 
-  // Telemetry (DESIGN.md section 9): handles registered once at start()
-  // when the harness attached a registry; change_state() then increments
-  // through plain array indexing. Index = static_cast<size_t>(State).
+  // Telemetry (DESIGN.md section 9): handles registered in the network's
+  // registry at start(); change_state() then increments through plain
+  // array indexing. Index = static_cast<size_t>(State).
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::MetricsRegistry::Counter m_state_entries_[7];
   obs::MetricsRegistry::Counter m_requests_sent_;

@@ -9,12 +9,29 @@
 namespace mnp::net {
 
 Channel::Channel(sim::Simulator& sim, const Topology& topo,
-                 const LinkModel& links, Params params)
+                 const LinkModel& links, obs::MetricsRegistry& metrics,
+                 Params params)
     : sim_(sim),
       topo_(topo),
       links_(links),
       params_(params),
-      rng_(sim.fork_rng(0xC4A27EFULL)) {
+      rng_(sim.fork_rng(0xC4A27EFULL)),
+      metrics_(metrics),
+      m_tx_(metrics.register_counter("chan.tx", obs::Unit::kCount, true)),
+      m_delivered_(metrics.register_counter("chan.delivered",
+                                            obs::Unit::kCount, true)),
+      m_collisions_(metrics.register_counter("chan.collisions",
+                                             obs::Unit::kCount, true)),
+      m_bulk_overlaps_(metrics.register_counter("chan.bulk_overlaps",
+                                                obs::Unit::kCount, false)),
+      m_cache_invalidations_(metrics.register_counter(
+          "chan.cache_invalidations", obs::Unit::kCount, false)),
+      m_cache_repairs_(metrics.register_counter("chan.cache_repairs",
+                                                obs::Unit::kCount, false)),
+      m_grid_cells_(
+          metrics.register_gauge("chan.grid_cells", obs::Unit::kCount, false)),
+      m_grid_occupancy_(metrics.register_gauge("chan.grid_max_occupancy",
+                                               obs::Unit::kCount, false)) {
   // Past kMaxNodes, ids wrap onto other nodes and onto kBroadcastId.
   assert(topo_.size() <= kMaxNodes);
   radios_.resize(topo_.size(), nullptr);
@@ -22,8 +39,8 @@ Channel::Channel(sim::Simulator& sim, const Topology& topo,
 }
 
 Channel::Channel(sim::Simulator& sim, const Topology& topo,
-                 const LinkModel& links)
-    : Channel(sim, topo, links, Params{}) {}
+                 const LinkModel& links, obs::MetricsRegistry& metrics)
+    : Channel(sim, topo, links, metrics, Params{}) {}
 
 void Channel::register_radio(Radio& radio) {
   if (radio.id() >= radios_.size()) {
@@ -34,36 +51,14 @@ void Channel::register_radio(Radio& radio) {
   listening_[radio.id()] = radio.is_listening() ? 1 : 0;
 }
 
-void Channel::attach_metrics(obs::MetricsRegistry& registry) {
-  metrics_ = &registry;
-  m_tx_ = registry.register_counter("chan.tx", obs::Unit::kCount, true);
-  m_delivered_ =
-      registry.register_counter("chan.delivered", obs::Unit::kCount, true);
-  m_collisions_ =
-      registry.register_counter("chan.collisions", obs::Unit::kCount, true);
-  m_bulk_overlaps_ = registry.register_counter("chan.bulk_overlaps",
-                                               obs::Unit::kCount, false);
-  m_cache_invalidations_ = registry.register_counter("chan.cache_invalidations",
-                                                     obs::Unit::kCount, false);
-  m_cache_repairs_ =
-      registry.register_counter("chan.cache_repairs", obs::Unit::kCount, false);
-  m_grid_cells_ =
-      registry.register_gauge("chan.grid_cells", obs::Unit::kCount, false);
-  m_grid_occupancy_ = registry.register_gauge("chan.grid_max_occupancy",
-                                              obs::Unit::kCount, false);
-  publish_grid_gauges();
-}
-
 sim::Time Channel::airtime(const Packet& pkt) const {
   const double bits = static_cast<double>(pkt.wire_bytes()) * 8.0;
   return static_cast<sim::Time>(bits / params_.bitrate_bps * 1e6);
 }
 
 void Channel::publish_grid_gauges() const {
-  if (!metrics_) return;
-  metrics_->set(m_grid_cells_, static_cast<double>(grid_.cell_count()));
-  metrics_->set(m_grid_occupancy_,
-                static_cast<double>(grid_.max_occupancy()));
+  metrics_.set(m_grid_cells_, static_cast<double>(grid_.cell_count()));
+  metrics_.set(m_grid_occupancy_, static_cast<double>(grid_.max_occupancy()));
 }
 
 void Channel::discard_caches() const {
@@ -130,8 +125,7 @@ void Channel::sync_world() const {
     } else {
       discard_caches();
     }
-    ++cache_invalidations_;
-    if (metrics_) metrics_->add(m_cache_invalidations_);
+    metrics_.add(m_cache_invalidations_);
   }
   cache_topo_version_ = tv;
   cache_links_revision_ = lr;
@@ -230,8 +224,7 @@ void Channel::rebuild_row(ScaleCache& cache, NodeId src) const {
   cache.clear_dirty(src);
   // A row may hold any id below the topology size: each needs a Listener.
   if (listeners_.size() < topo_.size()) listeners_.resize(topo_.size());
-  ++cache_repairs_;
-  if (metrics_) metrics_->add(m_cache_repairs_);
+  metrics_.add(m_cache_repairs_);
 }
 
 std::pair<std::vector<NodeId>, std::vector<double>>
@@ -274,15 +267,11 @@ std::shared_ptr<Channel::Active> Channel::acquire_active() {
 }
 
 void Channel::count_collision(NodeId victim) {
-  ++collisions_;
-  if (metrics_) metrics_->add(m_collisions_, victim);
+  metrics_.add(m_collisions_, victim);
   if (observer_) observer_->on_collision(victim, sim_.now());
 }
 
-void Channel::count_bulk_overlap() {
-  ++bulk_overlaps_;
-  if (metrics_) metrics_->add(m_bulk_overlaps_);
-}
+void Channel::count_bulk_overlap() { metrics_.add(m_bulk_overlaps_); }
 
 namespace {
 
@@ -315,8 +304,7 @@ void Channel::begin_transmission(NodeId src, FramePtr frame) {
   tx->end = sim_.now() + airtime(*frame);
   tx->bulk = is_bulk_data(frame->type());
   tx->frame = std::move(frame);
-  ++transmissions_;
-  if (metrics_) metrics_->add(m_tx_, src);
+  metrics_.add(m_tx_, src);
   if (observer_) observer_->on_transmit(src, tx->pkt(), sim_.now());
 
   // Candidate receivers: every node currently listening whose radio hears
@@ -495,8 +483,7 @@ void Channel::end_transmission(const std::shared_ptr<Active>& tx) {
     Radio* radio = radios_[r];
     if (!radio) continue;
     if (!rng_.bernoulli(tx->success[i])) continue;
-    ++deliveries_;
-    if (metrics_) metrics_->add(m_delivered_, r);
+    metrics_.add(m_delivered_, r);
     if (observer_) observer_->on_deliver(tx->src, r, tx->pkt(), sim_.now());
     // Every receiver reads the one shared immutable frame.
     radio->deliver(tx->pkt());

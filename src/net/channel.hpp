@@ -59,13 +59,15 @@ namespace mnp::net {
 
 class Radio;
 
-/// Observer for global accounting; implemented by the stats collector.
+/// Per-event hook (the stats collector's per-type split and event log).
+/// The channel counts every event in its registry cells itself; the
+/// observer is called once per event on top of that.
 class ChannelObserver {
  public:
   virtual ~ChannelObserver() = default;
   virtual void on_transmit(NodeId src, const Packet& pkt, sim::Time now) = 0;
   virtual void on_deliver(NodeId src, NodeId dst, const Packet& pkt, sim::Time now) = 0;
-  virtual void on_collision(NodeId victim, sim::Time now) = 0;
+  virtual void on_collision(NodeId /*victim*/, sim::Time /*now*/) {}
 };
 
 class Channel {
@@ -79,22 +81,20 @@ class Channel {
     bool neighbor_cache = true;
   };
 
+  /// Registers the channel's counters (the chan.* names of DESIGN.md
+  /// section 9) in `metrics`, which must outlive the channel; every
+  /// statistic below is read back from those cells.
   Channel(sim::Simulator& sim, const Topology& topo, const LinkModel& links,
-          Params params);
+          obs::MetricsRegistry& metrics, Params params);
   /// Default-parameter convenience overload.
-  Channel(sim::Simulator& sim, const Topology& topo, const LinkModel& links);
+  Channel(sim::Simulator& sim, const Topology& topo, const LinkModel& links,
+          obs::MetricsRegistry& metrics);
 
   /// Radios register once at network construction; `radio` must outlive
   /// the channel's use.
   void register_radio(Radio& radio);
 
   void set_observer(ChannelObserver* observer) { observer_ = observer; }
-
-  /// Registers the channel's telemetry (the chan.* names of DESIGN.md
-  /// section 9) in `registry` and mirrors every statistic increment into
-  /// it from now on. Handles are pre-registered here, so the per-packet
-  /// cost is one branch plus array adds.
-  void attach_metrics(obs::MetricsRegistry& registry);
 
   /// Time on air for `pkt` at the configured bitrate.
   sim::Time airtime(const Packet& pkt) const;
@@ -123,21 +123,27 @@ class Channel {
   void radio_started_listening(NodeId id);
 
   // --- statistics ----------------------------------------------------------
-  std::uint64_t transmissions() const { return transmissions_; }
-  std::uint64_t deliveries() const { return deliveries_; }
+  std::uint64_t transmissions() const { return metrics_.total(m_tx_); }
+  std::uint64_t deliveries() const { return metrics_.total(m_delivered_); }
   /// Receiver-side packet corruptions due to overlap.
-  std::uint64_t collisions() const { return collisions_; }
+  std::uint64_t collisions() const { return metrics_.total(m_collisions_); }
   /// Overlapping bulk-data sender pairs that shared a potential victim.
-  std::uint64_t concurrent_bulk_overlaps() const { return bulk_overlaps_; }
+  std::uint64_t concurrent_bulk_overlaps() const {
+    return metrics_.total(m_bulk_overlaps_);
+  }
   /// Distinct power scales whose neighbor sets have been materialized.
   std::size_t cached_power_scales() const { return scales_.size(); }
   /// Times the world changed under live caches (topology move or link-
   /// model revision bump). Most are answered by incremental dirty-marking;
   /// a change the move/link logs cannot replay discards every cache.
-  std::uint64_t cache_invalidations() const { return cache_invalidations_; }
+  std::uint64_t cache_invalidations() const {
+    return metrics_.total(m_cache_invalidations_);
+  }
   /// Neighbor rows (re)built on first touch — first builds and
   /// post-invalidation repairs alike.
-  std::uint64_t cache_repairs() const { return cache_repairs_; }
+  std::uint64_t cache_repairs() const {
+    return metrics_.total(m_cache_repairs_);
+  }
   /// Spatial-index occupancy (0 until a scale with a finite interference
   /// radius is built).
   std::size_t grid_cells() const { return grid_.cell_count(); }
@@ -288,15 +294,15 @@ class Channel {
   // silently use a stale neighbor row.
   mutable std::uint64_t cache_topo_version_ = 0;
   mutable std::uint64_t cache_links_revision_ = 0;
-  mutable std::uint64_t cache_invalidations_ = 0;
-  mutable std::uint64_t cache_repairs_ = 0;
   // Scratch for sync/rebuild (no per-event allocation in steady state).
   mutable std::vector<Topology::MoveRecord> move_scratch_;
   mutable std::vector<NodeId> link_scratch_;
   mutable std::vector<NodeId> row_scratch_;
   ChannelObserver* observer_ = nullptr;
 
-  obs::MetricsRegistry* metrics_ = nullptr;
+  // The one home of every channel count (const queries bump the cache
+  // counters through it).
+  obs::MetricsRegistry& metrics_;
   obs::MetricsRegistry::Counter m_tx_;
   obs::MetricsRegistry::Counter m_delivered_;
   obs::MetricsRegistry::Counter m_collisions_;
@@ -305,11 +311,6 @@ class Channel {
   obs::MetricsRegistry::Counter m_cache_repairs_;
   obs::MetricsRegistry::Gauge m_grid_cells_;
   obs::MetricsRegistry::Gauge m_grid_occupancy_;
-
-  std::uint64_t transmissions_ = 0;
-  std::uint64_t deliveries_ = 0;
-  std::uint64_t collisions_ = 0;
-  std::uint64_t bulk_overlaps_ = 0;
 };
 
 }  // namespace mnp::net

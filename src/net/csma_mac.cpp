@@ -26,13 +26,11 @@ void CsmaMac::attach_metrics(obs::MetricsRegistry& registry) {
 
 bool CsmaMac::send(FramePtr frame) {
   if (!radio_.is_on()) {
-    ++packets_dropped_;
-    if (metrics_) metrics_->add(m_dropped_, radio_.id());
+    metrics_->add(m_dropped_, radio_.id());
     return false;
   }
   if (queue_.size() >= params_.queue_capacity) {
-    ++packets_dropped_;
-    if (metrics_) metrics_->add(m_dropped_, radio_.id());
+    metrics_->add(m_dropped_, radio_.id());
     return false;
   }
   queue_.push_back(std::move(frame));
@@ -77,19 +75,16 @@ void CsmaMac::backoff_expired() {
     last_sent_ = frame;  // refcount bump, not a Packet copy
     if (!radio_.start_transmission(std::move(frame))) {
       in_flight_ = false;
-      ++packets_dropped_;
-      if (metrics_) metrics_->add(m_dropped_, radio_.id());
+      metrics_->add(m_dropped_, radio_.id());
       if (!queue_.empty()) arm_backoff(false);
     }
     return;
   }
-  ++congestion_backoffs_;
-  if (metrics_) metrics_->add(m_backoffs_, radio_.id());
+  metrics_->add(m_backoffs_, radio_.id());
   ++retries_;
   if (params_.max_congestion_retries != 0 &&
       retries_ > params_.max_congestion_retries) {
-    ++packets_dropped_;
-    if (metrics_) metrics_->add(m_dropped_, radio_.id());
+    metrics_->add(m_dropped_, radio_.id());
     queue_.pop_front();
     retries_ = 0;
     if (queue_.empty()) return;
@@ -102,8 +97,7 @@ bool CsmaMac::carrier_clear() const { return !radio_.senses_carrier(); }
 void CsmaMac::transmission_finished() {
   if (!in_flight_) return;  // send-done for a transmission we didn't start
   in_flight_ = false;
-  ++packets_sent_;
-  if (metrics_) metrics_->add(m_sent_, radio_.id());
+  metrics_->add(m_sent_, radio_.id());
   if (send_done_) send_done_(*last_sent_);
   last_sent_.reset();
   if (!queue_.empty()) {

@@ -19,8 +19,9 @@ class Mac {
  public:
   virtual ~Mac() = default;
 
-  /// Registers this MAC's telemetry (mac.* counters, DESIGN.md section 9)
-  /// and publishes into `registry` from now on. Default: unobserved.
+  /// Registers this MAC's counters (mac.* names, DESIGN.md section 9) in
+  /// `registry`, which then holds them. Node calls it once, before the
+  /// first send. Default: a MAC with no counters ignores it.
   virtual void attach_metrics(obs::MetricsRegistry& registry) {
     (void)registry;
   }

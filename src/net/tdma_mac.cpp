@@ -39,13 +39,11 @@ void TdmaMac::attach_metrics(obs::MetricsRegistry& registry) {
 
 bool TdmaMac::send(FramePtr frame) {
   if (!radio_.is_on()) {
-    ++packets_dropped_;
-    if (metrics_) metrics_->add(m_dropped_, radio_.id());
+    metrics_->add(m_dropped_, radio_.id());
     return false;
   }
   if (queue_.size() >= params_.queue_capacity) {
-    ++packets_dropped_;
-    if (metrics_) metrics_->add(m_dropped_, radio_.id());
+    metrics_->add(m_dropped_, radio_.id());
     return false;
   }
   queue_.push_back(std::move(frame));
@@ -90,8 +88,7 @@ void TdmaMac::slot_fired() {
   in_flight_ = true;
   if (!radio_.start_transmission(std::move(frame))) {
     in_flight_ = false;
-    ++packets_dropped_;
-    if (metrics_) metrics_->add(m_dropped_, radio_.id());
+    metrics_->add(m_dropped_, radio_.id());
   }
   if (!queue_.empty()) arm_next_slot();
 }
@@ -99,8 +96,7 @@ void TdmaMac::slot_fired() {
 void TdmaMac::transmission_finished() {
   if (!in_flight_) return;
   in_flight_ = false;
-  ++packets_sent_;
-  if (metrics_) metrics_->add(m_sent_, radio_.id());
+  metrics_->add(m_sent_, radio_.id());
   if (send_done_) send_done_(*last_sent_);
   last_sent_.reset();
   if (!queue_.empty() && !slot_timer_.pending()) arm_next_slot();

@@ -51,13 +51,18 @@ class TdmaMac final : public Mac {
   bool send(FramePtr frame) override;
   bool send(Packet pkt) override;
   void flush() override;
-  /// Registers mac.* counters (per-node, keyed by this MAC's radio id) and
-  /// mirrors the statistics below into `registry` from now on.
+  /// Registers mac.* counters (per-node, keyed by this MAC's radio id) in
+  /// `registry`; the statistics below read this node's cells. Must precede
+  /// the first send.
   void attach_metrics(obs::MetricsRegistry& registry) override;
   std::size_t queue_depth() const override { return queue_.size(); }
   bool idle() const override { return queue_.empty() && !in_flight_; }
-  std::uint64_t packets_sent() const override { return packets_sent_; }
-  std::uint64_t packets_dropped() const override { return packets_dropped_; }
+  std::uint64_t packets_sent() const override {
+    return metrics_->at(m_sent_, radio_.id());
+  }
+  std::uint64_t packets_dropped() const override {
+    return metrics_->at(m_dropped_, radio_.id());
+  }
   void set_send_done(std::function<void(const Packet&)> cb) override {
     send_done_ = std::move(cb);
   }
@@ -79,8 +84,6 @@ class TdmaMac final : public Mac {
   FramePtr last_sent_;
   sim::EventHandle slot_timer_;
   bool in_flight_ = false;
-  std::uint64_t packets_sent_ = 0;
-  std::uint64_t packets_dropped_ = 0;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::MetricsRegistry::Counter m_sent_;
   obs::MetricsRegistry::Counter m_dropped_;

@@ -12,8 +12,9 @@ Network::Network(sim::Simulator& sim, net::Topology topology,
     : sim_(sim),
       topology_(std::move(topology)),
       links_(make_links(topology_)),
-      stats_(topology_.size()),
-      channel_(sim, topology_, *links_, channel_params) {
+      metrics_(topology_.size()),
+      stats_(metrics_),
+      channel_(sim, topology_, *links_, metrics_, channel_params) {
   channel_.set_observer(&stats_);
   nodes_.reserve(topology_.size());
   for (std::size_t i = 0; i < topology_.size(); ++i) {
@@ -32,31 +33,20 @@ void Network::boot_all(sim::Time max_jitter) {
   }
 }
 
-void Network::attach_observability(trace::EventLog* log,
-                                   obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  // Per-node cells are sized at registration, so the count comes first.
-  if (metrics) metrics->set_node_count(size());
-  stats_.set_event_log(log);
-  stats_.set_metrics(metrics);
-  if (metrics) channel_.attach_metrics(*metrics);
+void Network::attach_event_log(trace::EventLog& log) {
+  stats_.set_event_log(&log);
   for (auto& n : nodes_) {
-    if (metrics) n->mac().attach_metrics(*metrics);
-    if (log) {
-      const net::NodeId id = n->id();
-      n->radio().set_state_listener([log, id](bool on, sim::Time now) {
-        log->record(now, id,
-                    on ? trace::EventKind::kRadioOn
-                       : trace::EventKind::kRadioOff);
-      });
-    }
+    const net::NodeId id = n->id();
+    n->radio().set_state_listener([&log, id](bool on, sim::Time now) {
+      log.record(now, id,
+                 on ? trace::EventKind::kRadioOn : trace::EventKind::kRadioOff);
+    });
   }
 }
 
 void Network::publish_energy_metrics(sim::Time now) {
-  if (!metrics_) return;
   for (auto& n : nodes_) {
-    n->meter().publish(*metrics_, n->id(), now);
+    n->meter().publish(metrics_, n->id(), now);
   }
 }
 

@@ -1,5 +1,6 @@
-// Network: the full assembly — topology, link model, channel, stats and
-// one Node per position. This is the object examples and benches build.
+// Network: the full assembly — topology, link model, metrics registry,
+// channel, stats and one Node per position. This is the object examples
+// and benches build.
 #pragma once
 
 #include <functional>
@@ -11,6 +12,7 @@
 #include "net/topology.hpp"
 #include "node/node.hpp"
 #include "node/stats.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace mnp::node {
@@ -40,6 +42,10 @@ class Network {
     topology_.set_position(id, p);
   }
   net::Channel& channel() { return channel_; }
+  /// The run's one accounting store (DESIGN.md section 9), sized to the
+  /// node count: the channel, every MAC, the stats collector, the
+  /// protocols and a scenario engine all count here.
+  obs::MetricsRegistry& metrics() { return metrics_; }
   StatsCollector& stats() { return stats_; }
   const StatsCollector& stats() const { return stats_; }
   sim::Simulator& simulator() { return sim_; }
@@ -48,18 +54,14 @@ class Network {
   /// [0, max_jitter] — motes in the field never power up simultaneously.
   void boot_all(sim::Time max_jitter = sim::msec(500));
 
-  /// Wires the whole assembly for telemetry in one call (DESIGN.md
-  /// section 9): the stats collector records into `log` (nullable), the
-  /// channel, every MAC and the completion milestones publish into
-  /// `metrics` (nullable, node count set here), and every radio logs its
-  /// on/off flips so the trace exporter can draw radio-duty slices.
-  /// Call before boot_all(); attaching mid-run loses prior history.
-  void attach_observability(trace::EventLog* log,
-                            obs::MetricsRegistry* metrics);
+  /// Wires the trace side (DESIGN.md section 9): the stats collector
+  /// records into `log`, and every radio logs its on/off flips so the
+  /// trace exporter can draw radio-duty slices. Call before boot_all();
+  /// attaching mid-run loses prior history.
+  void attach_event_log(trace::EventLog& log);
 
   /// End-of-run capture: every node's energy meter publishes its gauges
-  /// into the attached registry at time `now`. No-op when metrics were
-  /// never attached.
+  /// into the registry at time `now`.
   void publish_energy_metrics(sim::Time now);
 
   /// Number of nodes whose application reports a complete image.
@@ -69,10 +71,11 @@ class Network {
   sim::Simulator& sim_;
   net::Topology topology_;
   std::unique_ptr<net::LinkModel> links_;
+  // Before stats_ and channel_, which register in it as they are built.
+  obs::MetricsRegistry metrics_;
   StatsCollector stats_;
   net::Channel channel_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  obs::MetricsRegistry* metrics_ = nullptr;
 };
 
 }  // namespace mnp::node

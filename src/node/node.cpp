@@ -21,6 +21,8 @@ Node::Node(net::NodeId id, sim::Simulator& sim, net::Channel& channel,
       eeprom_(eeprom_capacity, &meter_),
       rng_(sim.fork_rng(0x901Du + id)) {
   channel.register_radio(radio_);
+  // Before any send: the MAC's counters live in the network's registry.
+  mac_->attach_metrics(stats.metrics());
   radio_.set_receive_handler([this](const net::Packet& pkt) {
     if (app_) app_->on_packet(pkt);
   });

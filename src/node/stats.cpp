@@ -59,15 +59,21 @@ net::PacketType representative(MsgClass c) {
   return net::PacketType::kQuery;
 }
 
-StatsCollector::StatsCollector(std::size_t node_count) : nodes_(node_count) {}
+StatsCollector::StatsCollector(obs::MetricsRegistry& metrics)
+    : metrics_(metrics),
+      m_completions_(metrics.register_counter("node.completions",
+                                              obs::Unit::kCount, true)),
+      m_segments_(metrics.register_counter("node.segments_completed",
+                                           obs::Unit::kCount, true)),
+      // The channel's counter, registered under the same name and shape.
+      m_collisions_(metrics.register_counter("chan.collisions",
+                                             obs::Unit::kCount, true)),
+      nodes_(metrics.node_count()) {}
 
-void StatsCollector::set_metrics(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (!metrics_) return;
-  m_completions_ =
-      metrics_->register_counter("node.completions", obs::Unit::kCount, true);
-  m_segments_ = metrics_->register_counter("node.segments_completed",
-                                           obs::Unit::kCount, true);
+NodeStats StatsCollector::node(net::NodeId id) const {
+  NodeStats n = nodes_.at(id);
+  n.collisions_suffered = metrics_.at(m_collisions_, id);
+  return n;
 }
 
 void StatsCollector::on_transmit(net::NodeId src, const net::Packet& pkt,
@@ -105,17 +111,12 @@ void StatsCollector::on_deliver(net::NodeId src, net::NodeId dst,
   }
 }
 
-void StatsCollector::on_collision(net::NodeId victim, sim::Time /*now*/) {
-  if (victim < nodes_.size()) ++nodes_[victim].collisions_suffered;
-}
-
 void StatsCollector::on_completed(net::NodeId id, sim::Time now) {
   if (id >= nodes_.size()) return;
   NodeStats& n = nodes_[id];
   if (n.completion_time >= 0) return;  // already recorded
   n.completion_time = now;
-  ++completed_;
-  if (metrics_) metrics_->add(m_completions_, id);
+  metrics_.add(m_completions_, id);
   if (event_log_) {
     event_log_->record(now, id, trace::EventKind::kImageCompleted);
   }
@@ -128,7 +129,7 @@ void StatsCollector::on_segment_completed(net::NodeId id, std::uint16_t seg,
   if (v.size() < seg) v.resize(seg, sim::kNever);
   if (v[seg - 1] < 0) {
     v[seg - 1] = now;
-    if (metrics_) metrics_->add(m_segments_, id);
+    metrics_.add(m_segments_, id);
   }
   if (event_log_) {
     event_log_->record(now, id, trace::EventKind::kSegmentCompleted,
@@ -149,7 +150,7 @@ void StatsCollector::on_became_sender(net::NodeId id, sim::Time now) {
 }
 
 sim::Time StatsCollector::completion_time() const {
-  if (completed_ != nodes_.size()) return sim::kNever;
+  if (!all_completed()) return sim::kNever;
   sim::Time latest = 0;
   for (const auto& n : nodes_) latest = std::max(latest, n.completion_time);
   return latest;

@@ -1,9 +1,12 @@
 // Run-wide statistics: everything the paper's evaluation section measures.
 //
-// The collector observes the channel (per-type tx/rx counts, collisions,
-// per-minute message timeline — Figs. 11 and 12) and receives protocol
-// callbacks (completion times, parents, sender order — Figs. 5-7 and 13;
-// active radio time comes from the per-node EnergyMeter at read-out).
+// The collector observes the channel (per-type tx/rx counts, per-minute
+// message timeline — Figs. 11 and 12) and receives protocol callbacks
+// (completion times, parents, sender order — Figs. 5-7 and 13; active
+// radio time comes from the per-node EnergyMeter at read-out). Counts
+// that have a registry cell live there only: completions are the
+// node.completions cells, and a node's collisions are the channel's
+// chan.collisions cell.
 #pragma once
 
 #include <array>
@@ -43,13 +46,14 @@ MsgClass classify(net::PacketType t);
 
 class StatsCollector final : public net::ChannelObserver {
  public:
-  explicit StatsCollector(std::size_t node_count);
+  /// Tracks `metrics.node_count()` nodes and registers the node.* counters
+  /// in `metrics`, which must outlive the collector.
+  explicit StatsCollector(obs::MetricsRegistry& metrics);
 
   // --- ChannelObserver -----------------------------------------------------
   void on_transmit(net::NodeId src, const net::Packet& pkt, sim::Time now) override;
   void on_deliver(net::NodeId src, net::NodeId dst, const net::Packet& pkt,
                   sim::Time now) override;
-  void on_collision(net::NodeId victim, sim::Time now) override;
 
   // --- protocol hooks ------------------------------------------------------
   void on_completed(net::NodeId id, sim::Time now);
@@ -64,19 +68,20 @@ class StatsCollector final : public net::ChannelObserver {
   void set_event_log(trace::EventLog* log) { event_log_ = log; }
   trace::EventLog* event_log() const { return event_log_; }
 
-  /// Optional metrics registry; when attached, completion milestones are
-  /// mirrored into node.* counters, and protocols reach the registry here
-  /// (via Node::stats()) to register their own handles.
-  void set_metrics(obs::MetricsRegistry* metrics);
-  obs::MetricsRegistry* metrics() const { return metrics_; }
+  /// The network's registry: protocols reach it here (via Node::stats())
+  /// to register their own handles.
+  obs::MetricsRegistry& metrics() { return metrics_; }
 
   // --- queries ---------------------------------------------------------
-  const NodeStats& node(net::NodeId id) const { return nodes_.at(id); }
+  /// Snapshot of one node; collisions_suffered is its chan.collisions cell.
+  NodeStats node(net::NodeId id) const;
   std::size_t node_count() const { return nodes_.size(); }
 
   /// Number of nodes holding the complete image.
-  std::size_t completed_count() const { return completed_; }
-  bool all_completed() const { return completed_ == nodes_.size(); }
+  std::size_t completed_count() const {
+    return static_cast<std::size_t>(metrics_.total(m_completions_));
+  }
+  bool all_completed() const { return completed_count() == nodes_.size(); }
   /// Time the last node completed (kNever until all_completed()).
   sim::Time completion_time() const;
 
@@ -92,11 +97,11 @@ class StatsCollector final : public net::ChannelObserver {
 
  private:
   trace::EventLog* event_log_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::MetricsRegistry& metrics_;
   obs::MetricsRegistry::Counter m_completions_;
   obs::MetricsRegistry::Counter m_segments_;
+  obs::MetricsRegistry::Counter m_collisions_;
   std::vector<NodeStats> nodes_;
-  std::size_t completed_ = 0;
   std::vector<net::NodeId> sender_order_;
   std::map<std::int64_t, std::array<std::uint64_t, 4>> timeline_;
 };

@@ -14,29 +14,23 @@ const char* unit_name(Unit unit) {
   return "?";
 }
 
-void MetricsRegistry::set_node_count(std::size_t n) {
-  // Per-node cell blocks are sized at registration; changing the count
-  // afterwards would shift every subsequent block.
-  assert(defs_.empty() && "set_node_count must precede registration");
-  node_count_ = n;
-}
-
 const MetricsRegistry::Def* MetricsRegistry::find(std::string_view name) const {
   const auto it = index_.find(name);
   return it == index_.end() ? nullptr : &defs_[it->second];
 }
 
 std::uint32_t MetricsRegistry::intern(std::string_view name, Kind kind,
-                                      Unit unit, bool per_node,
-                                      std::size_t cells) {
+                                      Unit unit, bool per_node) {
   const auto it = index_.find(name);
   if (it != index_.end()) {
-    assert(defs_[it->second].kind == kind &&
-           defs_[it->second].per_node == per_node &&
-           "metric re-registered with a different shape");
-    (void)cells;
-    return it->second;
+    // Several owners may register one name (the stats collector reads the
+    // channel's chan.collisions); they must agree on its shape.
+    const Def& def = defs_[it->second];
+    assert(def.kind == kind && def.unit == unit && def.per_node == per_node &&
+           "metric re-registered with a different shape or unit");
+    return def.cell;
   }
+  const std::size_t cells = per_node ? 1 + node_count_ : 1;
   Def def;
   def.name = std::string(name);
   def.kind = kind;
@@ -45,59 +39,24 @@ std::uint32_t MetricsRegistry::intern(std::string_view name, Kind kind,
   if (kind == Kind::kCounter) {
     def.cell = static_cast<std::uint32_t>(counter_cells_.size());
     counter_cells_.resize(counter_cells_.size() + cells, 0);
-  } else if (kind == Kind::kGauge) {
+  } else {
     def.cell = static_cast<std::uint32_t>(gauge_cells_.size());
     gauge_cells_.resize(gauge_cells_.size() + cells, 0.0);
-  } else {
-    def.cell = static_cast<std::uint32_t>(hists_.size());
   }
-  const std::uint32_t idx = static_cast<std::uint32_t>(defs_.size());
+  index_.emplace(def.name, static_cast<std::uint32_t>(defs_.size()));
   defs_.push_back(std::move(def));
-  index_.emplace(defs_.back().name, idx);
-  return idx;
+  return defs_.back().cell;
 }
 
 MetricsRegistry::Counter MetricsRegistry::register_counter(
     std::string_view name, Unit unit, bool per_node) {
-  const std::size_t cells = per_node ? 1 + node_count_ : 1;
-  const std::uint32_t idx =
-      intern(name, Kind::kCounter, unit, per_node, cells);
-  return Counter{defs_[idx].cell};
+  return Counter{intern(name, Kind::kCounter, unit, per_node)};
 }
 
 MetricsRegistry::Gauge MetricsRegistry::register_gauge(std::string_view name,
                                                        Unit unit,
                                                        bool per_node) {
-  const std::size_t cells = per_node ? 1 + node_count_ : 1;
-  const std::uint32_t idx = intern(name, Kind::kGauge, unit, per_node, cells);
-  return Gauge{defs_[idx].cell};
-}
-
-MetricsRegistry::Histogram MetricsRegistry::register_histogram(
-    std::string_view name, Unit unit, std::vector<double> bounds) {
-  const std::uint32_t idx = intern(name, Kind::kHistogram, unit, false, 0);
-  const Def& def = defs_[idx];
-  if (def.cell == hists_.size()) {  // fresh registration, not a re-lookup
-    Hist h;
-    h.buckets.assign(bounds.size() + 1, 0);
-    h.bounds = std::move(bounds);
-    hists_.push_back(std::move(h));
-  }
-  return Histogram{def.cell};
-}
-
-void MetricsRegistry::observe(Histogram h, double v) {
-  Hist& hist = hists_[h.index];
-  std::size_t bucket = hist.bounds.size();
-  for (std::size_t i = 0; i < hist.bounds.size(); ++i) {
-    if (v <= hist.bounds[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  ++hist.buckets[bucket];
-  ++hist.count;
-  hist.sum += v;
+  return Gauge{intern(name, Kind::kGauge, unit, per_node)};
 }
 
 bool MetricsRegistry::has(std::string_view name) const {
@@ -133,8 +92,7 @@ bool MetricsRegistry::merge_from(const MetricsRegistry& other) {
   if (other.defs_.size() != defs_.size() ||
       other.node_count_ != node_count_ ||
       other.counter_cells_.size() != counter_cells_.size() ||
-      other.gauge_cells_.size() != gauge_cells_.size() ||
-      other.hists_.size() != hists_.size()) {
+      other.gauge_cells_.size() != gauge_cells_.size()) {
     return false;
   }
   for (std::size_t i = 0; i < defs_.size(); ++i) {
@@ -148,16 +106,6 @@ bool MetricsRegistry::merge_from(const MetricsRegistry& other) {
   }
   for (std::size_t i = 0; i < gauge_cells_.size(); ++i) {
     gauge_cells_[i] += other.gauge_cells_[i];
-  }
-  for (std::size_t i = 0; i < hists_.size(); ++i) {
-    if (hists_[i].buckets.size() != other.hists_[i].buckets.size()) {
-      return false;
-    }
-    for (std::size_t b = 0; b < hists_[i].buckets.size(); ++b) {
-      hists_[i].buckets[b] += other.hists_[i].buckets[b];
-    }
-    hists_[i].count += other.hists_[i].count;
-    hists_[i].sum += other.hists_[i].sum;
   }
   return true;
 }
@@ -199,24 +147,6 @@ void MetricsRegistry::write_json(JsonWriter& w) const {
           }
           w.end_array();
         }
-        break;
-      }
-      case Kind::kHistogram: {
-        const Hist& h = hists_[d.cell];
-        w.key("type");
-        w.value("histogram");
-        w.key("count");
-        w.value(h.count);
-        w.key("sum");
-        w.value(h.sum);
-        w.key("bounds");
-        w.begin_array();
-        for (const double b : h.bounds) w.value(b);
-        w.end_array();
-        w.key("buckets");
-        w.begin_array();
-        for (const std::uint64_t b : h.buckets) w.value(b);
-        w.end_array();
         break;
       }
     }

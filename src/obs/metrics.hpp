@@ -1,13 +1,19 @@
-// MetricsRegistry: named counters, gauges and histograms — the run-wide
-// telemetry store behind `--metrics-out` (DESIGN.md section 9).
+// MetricsRegistry: named counters and gauges — the run-wide accounting
+// store behind every run count and `--metrics-out` (DESIGN.md section 9).
+//
+// Every Network owns one registry, sized to its node count when it is
+// built, and every run counts into it, observed or not: the channel, the
+// MACs, the stats collector, the protocols and the scenario engine each
+// hold a handle per count, and their counter accessors read the cell
+// back. An observed run copies the registry into its Observation.
 //
 // The registry separates a *registration* phase (allocates, builds the
 // name index, returns a handle) from the *hot path* (plain array indexing,
-// zero allocation). Subsystems register their handles once at attach time
-// — Channel, MACs, protocols — and then increment through the handle for
-// every packet of a multi-hour run. Per-node metrics keep one cell per
-// node plus a running total cell, so both the Fig.-11 style distributions
-// and the summary line come from the same counter.
+// zero allocation). Subsystems register their handles once at
+// construction or start, then increment through the handle for every
+// packet of a multi-hour run. Per-node metrics keep one cell per node plus
+// a running total cell, so both the Fig.-11 style distributions and the
+// summary line come from the same counter.
 //
 // Export is deterministic: metrics serialize sorted by name, values are
 // fixed-format (json_writer.hpp), and merging sweeps accumulates in seed
@@ -15,6 +21,7 @@
 // sweep does.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -63,54 +70,66 @@ class MetricsRegistry {
  public:
   static constexpr std::uint32_t kNoCell = 0xFFFFFFFFu;
 
-  /// Handles are plain indices; default-constructed ones are inert until
-  /// assigned from a register_* call. Callers guard the registry pointer,
-  /// not the handle.
+  /// Handles are plain indices, valid only once assigned from a
+  /// register_* call of the registry they index; Debug builds assert that
+  /// every hot-path use passes a registered one.
   struct Counter { std::uint32_t cell = kNoCell; };
   struct Gauge { std::uint32_t cell = kNoCell; };
-  struct Histogram { std::uint32_t index = kNoCell; };
 
+  /// The node count sizes every per-node metric and is fixed for the
+  /// registry's lifetime.
   explicit MetricsRegistry(std::size_t node_count = 0)
       : node_count_(node_count) {}
 
-  /// Node count must be fixed before the first per-node registration (the
-  /// experiment harness sets it as soon as the network exists).
-  void set_node_count(std::size_t n);
   std::size_t node_count() const { return node_count_; }
 
   // --- registration (allocates; idempotent per name) ----------------------
   Counter register_counter(std::string_view name, Unit unit, bool per_node);
   Gauge register_gauge(std::string_view name, Unit unit, bool per_node);
-  /// Bucket upper bounds must be strictly ascending; a final +inf bucket
-  /// is implicit.
-  Histogram register_histogram(std::string_view name, Unit unit,
-                               std::vector<double> bounds);
 
   // --- hot path (no allocation, no lookup) --------------------------------
-  void add(Counter h, std::uint64_t v = 1) { counter_cells_[h.cell] += v; }
+  void add(Counter h, std::uint64_t v = 1) {
+    assert(h.cell < counter_cells_.size() && "unregistered counter");
+    counter_cells_[h.cell] += v;
+  }
   /// Per-node counter: bumps the node's cell and the total cell.
   /// Out-of-range node ids (broadcast pseudo-ids) count toward the total
   /// only.
   void add(Counter h, net::NodeId node, std::uint64_t v = 1) {
+    assert(h.cell < counter_cells_.size() && "unregistered counter");
     counter_cells_[h.cell] += v;
     if (node < node_count_) counter_cells_[h.cell + 1u + node] += v;
   }
-  void set(Gauge h, double v) { gauge_cells_[h.cell] = v; }
+  void set(Gauge h, double v) {
+    assert(h.cell < gauge_cells_.size() && "unregistered gauge");
+    gauge_cells_[h.cell] = v;
+  }
   void set(Gauge h, net::NodeId node, double v) {
+    assert(h.cell < gauge_cells_.size() && "unregistered gauge");
     if (node < node_count_) gauge_cells_[h.cell + 1u + node] = v;
   }
-  void observe(Histogram h, double v);
 
-  // --- queries (tests, manifest assembly) ---------------------------------
+  // --- handle reads (the owners' counter accessors) -----------------------
+  std::uint64_t total(Counter h) const {
+    assert(h.cell < counter_cells_.size() && "unregistered counter");
+    return counter_cells_[h.cell];
+  }
+  /// A per-node counter's cell; 0 for ids past the node count.
+  std::uint64_t at(Counter h, net::NodeId node) const {
+    assert(h.cell < counter_cells_.size() && "unregistered counter");
+    return node < node_count_ ? counter_cells_[h.cell + 1u + node] : 0;
+  }
+
+  // --- queries by name (tests, manifest assembly) -------------------------
   bool has(std::string_view name) const;
   std::uint64_t counter_total(std::string_view name) const;
   std::uint64_t counter_node(std::string_view name, net::NodeId node) const;
   double gauge_total(std::string_view name) const;
 
   /// Element-wise accumulation of a same-schema registry (sweep merge;
-  /// callers merge in seed order for determinism). Counters and histogram
-  /// buckets add; gauges add too, i.e. a merged gauge reads as the sum
-  /// over runs. Registries with differing schemas refuse to merge (false).
+  /// callers merge in seed order for determinism). Counters add; gauges
+  /// add too, i.e. a merged gauge reads as the sum over runs. Registries
+  /// with differing schemas refuse to merge (false).
   bool merge_from(const MetricsRegistry& other);
 
   /// Serializes every metric, sorted by name, as one JSON object value:
@@ -119,26 +138,21 @@ class MetricsRegistry {
   void write_json(JsonWriter& w) const;
 
  private:
-  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
+  enum class Kind : std::uint8_t { kCounter, kGauge };
 
   struct Def {
     std::string name;
     Kind kind = Kind::kCounter;
     Unit unit = Unit::kCount;
     bool per_node = false;
-    std::uint32_t cell = kNoCell;  // counter/gauge base cell, histogram index
-  };
-
-  struct Hist {
-    std::vector<double> bounds;        // ascending upper bounds
-    std::vector<std::uint64_t> buckets;  // bounds.size() + 1 (+inf tail)
-    std::uint64_t count = 0;
-    double sum = 0.0;
+    std::uint32_t cell = kNoCell;  // base cell (the total; per-node follow)
   };
 
   const Def* find(std::string_view name) const;
+  /// Returns the metric's base cell, allocating its cells on first
+  /// registration.
   std::uint32_t intern(std::string_view name, Kind kind, Unit unit,
-                       bool per_node, std::size_t cells);
+                       bool per_node);
 
   std::size_t node_count_ = 0;
   std::vector<Def> defs_;
@@ -147,7 +161,6 @@ class MetricsRegistry {
   std::map<std::string, std::uint32_t, std::less<>> index_;
   std::vector<std::uint64_t> counter_cells_;
   std::vector<double> gauge_cells_;
-  std::vector<Hist> hists_;
 };
 
 }  // namespace mnp::obs

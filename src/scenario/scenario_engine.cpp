@@ -31,7 +31,16 @@ ScenarioEngine::ScenarioEngine(const Scenario& scenario,
       network_(network),
       links_(links),
       protect_(protect),
-      rng_(network.simulator().fork_rng(kScenarioRngSalt)) {}
+      rng_(network.simulator().fork_rng(kScenarioRngSalt)),
+      metrics_(network.metrics()),
+      m_events_(metrics_.register_counter("scenario.events", obs::Unit::kCount,
+                                          false)),
+      m_kills_(metrics_.register_counter("scenario.kills", obs::Unit::kCount,
+                                         true)),
+      m_reboots_(metrics_.register_counter("scenario.reboots",
+                                           obs::Unit::kCount, true)),
+      m_moves_(metrics_.register_counter("scenario.moves", obs::Unit::kCount,
+                                         true)) {}
 
 bool ScenarioEngine::arm(std::string* error) {
   const auto fail = [error](const std::string& message) {
@@ -102,14 +111,6 @@ bool ScenarioEngine::arm(std::string* error) {
     }
   }
 
-  if (obs::MetricsRegistry* m = network_.stats().metrics()) {
-    m_events_ = m->register_counter("scenario.events", obs::Unit::kCount, false);
-    m_kills_ = m->register_counter("scenario.kills", obs::Unit::kCount, true);
-    m_reboots_ =
-        m->register_counter("scenario.reboots", obs::Unit::kCount, true);
-    m_moves_ = m->register_counter("scenario.moves", obs::Unit::kCount, true);
-  }
-
   last_activity_ = scenario_.last_event_time();
   sim::Scheduler& sched = network_.simulator().scheduler();
   for (const auto& e : scenario_.events()) {
@@ -169,13 +170,10 @@ bool ScenarioEngine::converged() const {
 }
 
 void ScenarioEngine::record(net::NodeId node, const std::string& detail) {
-  ++injected_;
+  metrics_.add(m_events_);
   if (trace::EventLog* log = network_.stats().event_log()) {
     log->record(network_.simulator().now(), node,
                 trace::EventKind::kScenario, detail);
-  }
-  if (obs::MetricsRegistry* m = network_.stats().metrics()) {
-    m->add(m_events_);
   }
 }
 
@@ -184,9 +182,7 @@ void ScenarioEngine::kill_node(net::NodeId id, sim::Time down_for) {
   if (n.is_dead()) return;
   n.kill();
   record(id, "kill " + std::to_string(id));
-  if (obs::MetricsRegistry* m = network_.stats().metrics()) {
-    m->add(m_kills_, id);
-  }
+  metrics_.add(m_kills_, id);
   if (down_for > 0) {
     network_.simulator().scheduler().post_after(
         down_for, [this, id] { reboot_node(id); });
@@ -198,9 +194,7 @@ void ScenarioEngine::reboot_node(net::NodeId id) {
   if (!n.is_dead()) return;
   n.reboot();
   record(id, "reboot " + std::to_string(id));
-  if (obs::MetricsRegistry* m = network_.stats().metrics()) {
-    m->add(m_reboots_, id);
-  }
+  metrics_.add(m_reboots_, id);
 }
 
 void ScenarioEngine::crash_fraction(double fraction, sim::Time down_for) {
@@ -232,9 +226,7 @@ void ScenarioEngine::watch_battery(net::NodeId id, double budget_nah) {
   if (!n.is_dead() && n.meter().total_nah(sim.now()) >= budget_nah) {
     n.kill();
     record(id, "battery " + std::to_string(id) + " dead");
-    if (obs::MetricsRegistry* m = network_.stats().metrics()) {
-      m->add(m_kills_, id);
-    }
+    metrics_.add(m_kills_, id);
     return;  // a battery death is final; the monitor chain ends here
   }
   sim.scheduler().post_after(
@@ -243,9 +235,7 @@ void ScenarioEngine::watch_battery(net::NodeId id, double budget_nah) {
 
 void ScenarioEngine::start_move(const ScenarioEvent& e) {
   const net::NodeId id = e.node;
-  if (obs::MetricsRegistry* m = network_.stats().metrics()) {
-    m->add(m_moves_, id);
-  }
+  metrics_.add(m_moves_, id);
   if (e.duration <= 0) {
     network_.move_node(id, net::Position{e.x, e.y});
     record(id, "move " + std::to_string(id));

@@ -11,7 +11,7 @@
 // Every injection is recorded as a trace::EventKind::kScenario event
 // (details like "kill 5", "partition on" — the " on"/" off" suffix pair
 // is what the Perfetto exporter turns into fault-window slices) and
-// counted under scenario.* metrics when a registry is attached.
+// counted under scenario.* metrics in the network's registry.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +29,9 @@ namespace mnp::scenario {
 class ScenarioEngine {
  public:
   /// `links` may be null when the scenario has no partition/degrade
-  /// events (arm() rejects the combination otherwise). Trace/metrics
-  /// sinks are optional and read from the network's stats collector.
+  /// events (arm() rejects the combination otherwise). Registers the
+  /// scenario.* counters in the network's registry; the trace sink is
+  /// optional and read from the network's stats collector.
   /// `protect` (usually the base station) is never picked by
   /// crash-fraction events — killing the image source before anyone
   /// holds a copy would make every churn scenario trivially divergent.
@@ -44,7 +45,7 @@ class ScenarioEngine {
   /// Validates the scenario against the network (node ids in range,
   /// partition groups disjoint, link mutations only with a decorator) and
   /// pre-schedules every injection. False + `*error` on a bad scenario.
-  /// Call once, after observability is attached and before running.
+  /// Call once, after any event log is attached and before running.
   bool arm(std::string* error);
 
   /// Latest instant the schedule mutates the world (battery monitors are
@@ -54,7 +55,7 @@ class ScenarioEngine {
 
   /// Injections performed so far (one kill/reboot/window-edge/arrival
   /// each; mobility steps in between are not counted).
-  std::uint64_t injected() const { return injected_; }
+  std::uint64_t injected() const { return metrics_.total(m_events_); }
 
   /// True when the schedule is exhausted and every node is either dead or
   /// holds the complete image — the scenario-aware run-end predicate.
@@ -74,8 +75,8 @@ class ScenarioEngine {
   net::NodeId protect_;
   sim::Rng rng_;
   sim::Time last_activity_ = 0;
-  std::uint64_t injected_ = 0;
 
+  obs::MetricsRegistry& metrics_;
   obs::MetricsRegistry::Counter m_events_;
   obs::MetricsRegistry::Counter m_kills_;
   obs::MetricsRegistry::Counter m_reboots_;

@@ -29,7 +29,8 @@ class ChannelTest : public ::testing::Test {
       topo_->add({static_cast<double>(i) * spacing, 0.0});
     }
     links_ = std::make_unique<DiskLinkModel>(*topo_, range, interference);
-    channel_ = std::make_unique<Channel>(sim_, *topo_, *links_);
+    metrics_ = std::make_unique<obs::MetricsRegistry>(n);
+    channel_ = std::make_unique<Channel>(sim_, *topo_, *links_, *metrics_);
     received_.assign(n, {});
     for (std::size_t i = 0; i < n; ++i) {
       meters_.push_back(std::make_unique<energy::EnergyMeter>());
@@ -60,6 +61,7 @@ class ChannelTest : public ::testing::Test {
   sim::Simulator sim_{1};
   std::unique_ptr<Topology> topo_;
   std::unique_ptr<DiskLinkModel> links_;
+  std::unique_ptr<obs::MetricsRegistry> metrics_;
   std::unique_ptr<Channel> channel_;
   std::vector<std::unique_ptr<energy::EnergyMeter>> meters_;
   std::vector<std::unique_ptr<Radio>> radios_;
@@ -255,7 +257,7 @@ TEST_F(ChannelTest, CannotTransmitWhileOffOrBusy) {
 // topology.
 class EquivalenceStack {
  public:
-  EquivalenceStack(Channel::Params cp, std::size_t n) : sim_(99) {
+  EquivalenceStack(Channel::Params cp, std::size_t n) : sim_(99), metrics_(n) {
     sim::Rng place(1234);  // same placement in both stacks
     for (std::size_t i = 0; i < n; ++i) {
       topo_.add({place.uniform_real(0.0, 120.0),
@@ -263,7 +265,7 @@ class EquivalenceStack {
     }
     EmpiricalLinkModel::Params lp;
     links_ = std::make_unique<EmpiricalLinkModel>(topo_, lp, sim::Rng(777));
-    channel_ = std::make_unique<Channel>(sim_, topo_, *links_, cp);
+    channel_ = std::make_unique<Channel>(sim_, topo_, *links_, metrics_, cp);
     received_.assign(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
       meters_.push_back(std::make_unique<energy::EnergyMeter>());
@@ -322,6 +324,7 @@ class EquivalenceStack {
   sim::Simulator sim_;
   Topology topo_;
   std::unique_ptr<EmpiricalLinkModel> links_;
+  obs::MetricsRegistry metrics_;
   std::unique_ptr<Channel> channel_;
   std::vector<std::unique_ptr<energy::EnergyMeter>> meters_;
   std::vector<std::unique_ptr<Radio>> radios_;
@@ -413,7 +416,7 @@ class ChurnStack {
  public:
   ChurnStack(Channel::Params cp, std::size_t n, std::uint64_t seed,
              double bounded_from)
-      : sim_(99 + seed) {
+      : sim_(99 + seed), metrics_(n) {
     sim::Rng place(1234 + seed);  // same placement in both stacks
     for (std::size_t i = 0; i < n; ++i) {
       topo_.add({place.uniform_real(0.0, 150.0),
@@ -421,7 +424,7 @@ class ChurnStack {
     }
     links_ = std::make_unique<scenario::ScenarioLinkModel>(
         std::make_unique<PartlyBoundedDisk>(topo_, bounded_from), n);
-    channel_ = std::make_unique<Channel>(sim_, topo_, *links_, cp);
+    channel_ = std::make_unique<Channel>(sim_, topo_, *links_, metrics_, cp);
     received_.assign(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
       meters_.push_back(std::make_unique<energy::EnergyMeter>());
@@ -488,6 +491,7 @@ class ChurnStack {
   sim::Simulator sim_;
   Topology topo_;
   std::unique_ptr<scenario::ScenarioLinkModel> links_;
+  obs::MetricsRegistry metrics_;
   std::unique_ptr<Channel> channel_;
   std::vector<std::unique_ptr<energy::EnergyMeter>> meters_;
   std::vector<std::unique_ptr<Radio>> radios_;
@@ -535,7 +539,8 @@ TEST(ChannelGridChurn, CarrierSenseStaysExactAfterMoves) {
   topo.add({10.0, 0.0});
   topo.add({100.0, 0.0});
   DiskLinkModel links(topo, 15.0);
-  Channel channel(sim, topo, links, grid_params());
+  obs::MetricsRegistry metrics(topo.size());
+  Channel channel(sim, topo, links, metrics, grid_params());
   energy::EnergyMeter m0, m1, m2;
   Radio r0(0, sim.scheduler(), channel, m0);
   Radio r1(1, sim.scheduler(), channel, m1);
@@ -623,7 +628,8 @@ TEST(ChannelLinkRevision, RevisionBumpInvalidatesTheNeighborCache) {
   topo.add({0.0, 0.0});
   topo.add({10.0, 0.0});
   SwitchableLinkModel links(std::make_unique<DiskLinkModel>(topo, 15.0));
-  Channel channel(sim, topo, links);
+  obs::MetricsRegistry metrics(topo.size());
+  Channel channel(sim, topo, links, metrics);
   energy::EnergyMeter m0, m1;
   Radio r0(0, sim.scheduler(), channel, m0);
   Radio r1(1, sim.scheduler(), channel, m1);
@@ -693,7 +699,8 @@ RepeatedBroadcasts repeated_broadcasts(Channel::Params cp, int broadcasts) {
   const EmpiricalLinkModel empirical(topo, EmpiricalLinkModel::Params{},
                                      sim.fork_rng(0x11A7));
   CountingLinkModel links(empirical);
-  Channel channel(sim, topo, links, cp);
+  obs::MetricsRegistry metrics(topo.size());
+  Channel channel(sim, topo, links, metrics, cp);
   std::vector<std::unique_ptr<energy::EnergyMeter>> meters;
   std::vector<std::unique_ptr<Radio>> radios;
   for (NodeId id = 0; id < topo.size(); ++id) {

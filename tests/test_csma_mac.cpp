@@ -20,7 +20,8 @@ class CsmaMacTest : public ::testing::Test {
       topo_->add({static_cast<double>(i) * 10.0, 0.0});
     }
     links_ = std::make_unique<DiskLinkModel>(*topo_, 15.0);
-    channel_ = std::make_unique<Channel>(sim_, *topo_, *links_);
+    metrics_ = std::make_unique<obs::MetricsRegistry>(n);
+    channel_ = std::make_unique<Channel>(sim_, *topo_, *links_, *metrics_);
     received_.assign(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
       meters_.push_back(std::make_unique<energy::EnergyMeter>());
@@ -31,6 +32,7 @@ class CsmaMacTest : public ::testing::Test {
       radios_[i]->turn_on();
       macs_.push_back(std::make_unique<CsmaMac>(
           *radios_[i], sim_.scheduler(), sim_.fork_rng(100 + i), params));
+      macs_.back()->attach_metrics(*metrics_);
     }
   }
 
@@ -43,6 +45,7 @@ class CsmaMacTest : public ::testing::Test {
   sim::Simulator sim_{3};
   std::unique_ptr<Topology> topo_;
   std::unique_ptr<DiskLinkModel> links_;
+  std::unique_ptr<obs::MetricsRegistry> metrics_;
   std::unique_ptr<Channel> channel_;
   std::vector<std::unique_ptr<energy::EnergyMeter>> meters_;
   std::vector<std::unique_ptr<Radio>> radios_;

@@ -85,7 +85,8 @@ TEST(FramePool, ChannelBroadcastsAllocateOneNode) {
   sim::Simulator sim(1);
   const Topology topo = Topology::grid(30, 30, 10.0);
   const DiskLinkModel links(topo, 45.0);
-  Channel channel(sim, topo, links);
+  obs::MetricsRegistry metrics(topo.size());
+  Channel channel(sim, topo, links, metrics);
   std::vector<std::unique_ptr<energy::EnergyMeter>> meters;
   std::vector<std::unique_ptr<Radio>> radios;
   for (NodeId id = 0; id < topo.size(); ++id) {

@@ -10,13 +10,17 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/observe.hpp"
 #include "harness/sweep.hpp"
 #include "obs/json_writer.hpp"
 #include "obs/metrics.hpp"
+#include "scenario/scenario.hpp"
 
 #ifndef MNP_TEST_DATA_DIR
 #define MNP_TEST_DATA_DIR "tests/data"
@@ -67,6 +71,11 @@ TEST(MetricsRegistry, CounterPerNodeAndTotal) {
   EXPECT_EQ(m.counter_node("chan.tx", 0), 2u);
   EXPECT_EQ(m.counter_node("chan.tx", 1), 0u);
   EXPECT_EQ(m.counter_node("chan.tx", 2), 5u);
+  // The handle reads the owners' accessors use see the same cells.
+  EXPECT_EQ(m.total(c), 7u);
+  EXPECT_EQ(m.at(c, 0), 2u);
+  EXPECT_EQ(m.at(c, 2), 5u);
+  EXPECT_EQ(m.at(c, 3), 0u);  // past the node count
 }
 
 TEST(MetricsRegistry, OutOfRangeNodeCountsTowardTotalOnly) {
@@ -86,19 +95,6 @@ TEST(MetricsRegistry, RegistrationIsIdempotent) {
   m.add(a, net::NodeId{1});
   m.add(b, net::NodeId{1});
   EXPECT_EQ(m.counter_node("x", 1), 2u);
-}
-
-TEST(MetricsRegistry, HistogramBuckets) {
-  obs::MetricsRegistry m;
-  auto h = m.register_histogram("lat", obs::Unit::kMicroseconds,
-                                {10.0, 100.0});
-  m.observe(h, 5.0);
-  m.observe(h, 50.0);
-  m.observe(h, 5000.0);  // +inf tail
-  obs::JsonWriter w;
-  m.write_json(w);
-  EXPECT_NE(w.str().find("\"count\":3"), std::string::npos) << w.str();
-  EXPECT_NE(w.str().find("\"buckets\":[1,1,1]"), std::string::npos) << w.str();
 }
 
 TEST(MetricsRegistry, MergeAccumulatesElementWise) {
@@ -185,13 +181,55 @@ TEST(ObservedRun, PublishesMetricsTraceAndCounterTracks) {
   EXPECT_EQ(obs.counters[11].process, "network");
 }
 
+// Observing a run (trace, audit, metrics copy) never changes it: each
+// protocol on a 4x4 grid, and MNP on 10x10 under crashes, a partition and
+// moves, returns the same whole RunResult observed and plain. The copied
+// registry's chan.* cells are the RunResult's per-node counts.
 TEST(ObservedRun, ObservationDoesNotPerturbTheRun) {
-  harness::Observation obs;
-  const auto observed = harness::run_experiment(tiny(), &obs);
-  const auto plain = harness::run_experiment(tiny());
-  EXPECT_EQ(observed.completion_time, plain.completion_time);
-  EXPECT_EQ(observed.transmissions, plain.transmissions);
-  EXPECT_EQ(observed.collisions, plain.collisions);
+  std::vector<std::pair<std::string, harness::ExperimentConfig>> inputs;
+  for (const harness::Protocol p :
+       {harness::Protocol::kMnp, harness::Protocol::kDeluge,
+        harness::Protocol::kMoap, harness::Protocol::kXnp,
+        harness::Protocol::kNcast}) {
+    harness::ExperimentConfig cfg = tiny();
+    cfg.rows = 4;
+    cfg.cols = 4;
+    cfg.protocol = p;
+    inputs.emplace_back(harness::protocol_name(p), cfg);
+  }
+  harness::ExperimentConfig churn = tiny();
+  churn.rows = 10;
+  churn.cols = 10;
+  std::vector<net::NodeId> top(50), bottom(50);
+  std::iota(top.begin(), top.end(), net::NodeId{0});
+  std::iota(bottom.begin(), bottom.end(), net::NodeId{50});
+  churn.scenario = scenario::ScenarioBuilder{}
+                       .crash_fraction(sim::minutes(2), 0.2, sim::sec(45))
+                       .partition(sim::minutes(3), sim::sec(30), {top, bottom})
+                       .move(sim::sec(30), 55, 0.0, 0.0, sim::sec(60))
+                       .move(sim::sec(45), 72, 90.0, 90.0, sim::sec(90))
+                       .build("churn");
+  inputs.emplace_back("MNP churn 10x10", churn);
+
+  for (const auto& [name, cfg] : inputs) {
+    harness::Observation obs;
+    obs.with_audit = true;
+    const harness::RunResult observed = harness::run_experiment(cfg, &obs);
+    const harness::RunResult plain = harness::run_experiment(cfg);
+    EXPECT_TRUE(observed == plain) << name;
+    EXPECT_GT(observed.transmissions, 0u) << name;
+    ASSERT_EQ(observed.nodes.size(), cfg.rows * cfg.cols) << name;
+    for (net::NodeId id = 0; id < observed.nodes.size(); ++id) {
+      const harness::NodeResult& n = observed.nodes[id];
+      EXPECT_EQ(obs.metrics.counter_node("chan.tx", id), n.tx_total)
+          << name << " node " << id;
+      EXPECT_EQ(obs.metrics.counter_node("chan.delivered", id), n.rx_total)
+          << name << " node " << id;
+      EXPECT_EQ(obs.metrics.counter_node("chan.collisions", id),
+                n.collisions_suffered)
+          << name << " node " << id;
+    }
+  }
 }
 
 TEST(ObservedRun, DroppedEventsSurfaceInTheManifest) {

@@ -18,7 +18,7 @@ class RadioTest : public ::testing::Test {
     topo_.add({0.0, 0.0});
     topo_.add({10.0, 0.0});
     links_ = std::make_unique<DiskLinkModel>(topo_, 15.0);
-    channel_ = std::make_unique<Channel>(sim_, topo_, *links_);
+    channel_ = std::make_unique<Channel>(sim_, topo_, *links_, metrics_);
     r0_ = std::make_unique<Radio>(0, sim_.scheduler(), *channel_, m0_);
     r1_ = std::make_unique<Radio>(1, sim_.scheduler(), *channel_, m1_);
     channel_->register_radio(*r0_);
@@ -34,6 +34,7 @@ class RadioTest : public ::testing::Test {
   sim::Simulator sim_{1};
   Topology topo_;
   std::unique_ptr<DiskLinkModel> links_;
+  obs::MetricsRegistry metrics_{2};
   std::unique_ptr<Channel> channel_;
   energy::EnergyMeter m0_, m1_;
   std::unique_ptr<Radio> r0_, r1_;

@@ -127,7 +127,8 @@ TEST(IncrementalRepair, RepairedRowsMatchFromScratchRebuild) {
   net::Topology topo = random_topology(kNodes, 200.0, 31);
   net::DiskLinkModel links(topo, 20.0, 1.4);
   sim::Simulator sim(5);
-  net::Channel channel(sim, topo, links, net::Channel::Params{});
+  obs::MetricsRegistry metrics(kNodes);
+  net::Channel channel(sim, topo, links, metrics, net::Channel::Params{});
   // Materialize both scales so later moves exercise repair, not first-build.
   for (net::NodeId src = 0; src < kNodes; ++src) {
     channel.neighbor_row_for_test(1.0, src);
@@ -142,7 +143,8 @@ TEST(IncrementalRepair, RepairedRowsMatchFromScratchRebuild) {
         rng.uniform_int(0, static_cast<std::int64_t>(kNodes) - 1));
     topo.set_position(mover, {rng.uniform_real(0.0, 200.0),
                               rng.uniform_real(0.0, 200.0)});
-    net::Channel fresh(sim, topo, links, net::Channel::Params{});
+    obs::MetricsRegistry fresh_metrics(kNodes);
+    net::Channel fresh(sim, topo, links, fresh_metrics, net::Channel::Params{});
     for (const double scale : {1.0, 0.5}) {
       for (net::NodeId src = 0; src < kNodes; ++src) {
         EXPECT_EQ(channel.neighbor_row_for_test(scale, src),
@@ -179,7 +181,8 @@ BurstRun run_bursts(net::Topology topo, double extent, bool mobile,
   net::DiskLinkModel links(topo, 25.0, 1.5);
   net::Channel::Params cp;
   cp.neighbor_cache = neighbor_cache;
-  net::Channel channel(sim, topo, links, cp);
+  obs::MetricsRegistry metrics(topo.size());
+  net::Channel channel(sim, topo, links, metrics, cp);
   const std::size_t n = topo.size();
   std::vector<std::unique_ptr<energy::EnergyMeter>> meters;
   std::vector<std::unique_ptr<net::Radio>> radios;

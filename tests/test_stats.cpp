@@ -25,7 +25,8 @@ TEST(Classify, MessageClasses) {
 }
 
 TEST(StatsCollector, CountsPerTypeAndTimeline) {
-  StatsCollector stats(3);
+  obs::MetricsRegistry metrics(3);
+  StatsCollector stats(metrics);
   stats.on_transmit(0, make_packet(net::AdvertisementMsg{}), sim::sec(10));
   stats.on_transmit(0, make_packet(net::DataMsg{}), sim::sec(70));
   stats.on_transmit(1, make_packet(net::DataMsg{}), sim::sec(80));
@@ -44,7 +45,8 @@ TEST(StatsCollector, CountsPerTypeAndTimeline) {
 }
 
 TEST(StatsCollector, CompletionBookkeeping) {
-  StatsCollector stats(2);
+  obs::MetricsRegistry metrics(2);
+  StatsCollector stats(metrics);
   EXPECT_EQ(stats.completed_count(), 0u);
   EXPECT_FALSE(stats.all_completed());
   EXPECT_EQ(stats.completion_time(), sim::kNever);
@@ -57,14 +59,18 @@ TEST(StatsCollector, CompletionBookkeeping) {
   stats.on_completed(1, sim::sec(9));
   EXPECT_TRUE(stats.all_completed());
   EXPECT_EQ(stats.completion_time(), sim::sec(9));
+  // The count is the node.completions cells, not a copy of them.
+  EXPECT_EQ(metrics.counter_total("node.completions"), 2u);
+  EXPECT_EQ(metrics.counter_node("node.completions", 0), 1u);
 }
 
 TEST(StatsCollector, SegmentCompletionGrowsVector) {
-  StatsCollector stats(1);
+  obs::MetricsRegistry metrics(1);
+  StatsCollector stats(metrics);
   stats.on_segment_completed(0, 3, sim::sec(30));
   stats.on_segment_completed(0, 1, sim::sec(10));
   stats.on_segment_completed(0, 1, sim::sec(99));  // duplicate: ignored
-  const auto& v = stats.node(0).segment_completion;
+  const std::vector<sim::Time> v = stats.node(0).segment_completion;
   ASSERT_EQ(v.size(), 3u);
   EXPECT_EQ(v[0], sim::sec(10));
   EXPECT_EQ(v[1], sim::kNever);
@@ -72,7 +78,8 @@ TEST(StatsCollector, SegmentCompletionGrowsVector) {
 }
 
 TEST(StatsCollector, SenderOrderRecordsFirstForwardOnly) {
-  StatsCollector stats(4);
+  obs::MetricsRegistry metrics(4);
+  StatsCollector stats(metrics);
   stats.on_became_sender(2, sim::sec(1));
   stats.on_became_sender(0, sim::sec(2));
   stats.on_became_sender(2, sim::sec(3));  // repeat: ignored
@@ -83,20 +90,25 @@ TEST(StatsCollector, SenderOrderRecordsFirstForwardOnly) {
 }
 
 TEST(StatsCollector, ParentAndCollisions) {
-  StatsCollector stats(2);
+  obs::MetricsRegistry metrics(2);
+  StatsCollector stats(metrics);
   stats.on_parent_set(1, 0);
   EXPECT_EQ(stats.node(1).parent, 0);
-  stats.on_collision(1, sim::sec(1));
-  stats.on_collision(1, sim::sec(2));
+  // A node's collisions are its cell of the channel's chan.collisions.
+  const auto collisions =
+      metrics.register_counter("chan.collisions", obs::Unit::kCount, true);
+  metrics.add(collisions, net::NodeId{1});
+  metrics.add(collisions, net::NodeId{1});
   EXPECT_EQ(stats.node(1).collisions_suffered, 2u);
+  EXPECT_EQ(stats.node(0).collisions_suffered, 0u);
 }
 
 TEST(StatsCollector, OutOfRangeIdsAreIgnored) {
-  StatsCollector stats(1);
+  obs::MetricsRegistry metrics(1);
+  StatsCollector stats(metrics);
   stats.on_completed(7, sim::sec(1));
   stats.on_parent_set(7, 0);
   stats.on_became_sender(7, sim::sec(1));
-  stats.on_collision(7, sim::sec(1));
   EXPECT_EQ(stats.completed_count(), 0u);
   EXPECT_TRUE(stats.sender_order().empty());
 }

@@ -49,7 +49,8 @@ TEST(TdmaMacTest, TransmitsOnlyInOwnSlot) {
   topo.add({0.0, 0.0});
   topo.add({10.0, 0.0});
   DiskLinkModel links(topo, 15.0);
-  Channel channel(sim, topo, links);
+  obs::MetricsRegistry metrics(topo.size());
+  Channel channel(sim, topo, links, metrics);
   energy::EnergyMeter m0, m1;
   Radio r0(0, sim.scheduler(), channel, m0);
   Radio r1(1, sim.scheduler(), channel, m1);
@@ -69,6 +70,7 @@ TEST(TdmaMacTest, TransmitsOnlyInOwnSlot) {
   params.frame_slots = 4;
   params.my_slot = 2;  // our slot starts at 100 ms into each frame
   TdmaMac mac(r0, sim.scheduler(), params);
+  mac.attach_metrics(metrics);
   Packet pkt;
   pkt.payload = AdvertisementMsg{};
   EXPECT_TRUE(mac.send(pkt));
@@ -88,7 +90,8 @@ TEST(TdmaMacTest, QueueDrainsAcrossFrames) {
   topo.add({0.0, 0.0});
   topo.add({10.0, 0.0});
   DiskLinkModel links(topo, 15.0);
-  Channel channel(sim, topo, links);
+  obs::MetricsRegistry metrics(topo.size());
+  Channel channel(sim, topo, links, metrics);
   energy::EnergyMeter m0, m1;
   Radio r0(0, sim.scheduler(), channel, m0);
   Radio r1(1, sim.scheduler(), channel, m1);
@@ -103,6 +106,7 @@ TEST(TdmaMacTest, QueueDrainsAcrossFrames) {
   params.frame_slots = 9;
   params.my_slot = 4;
   TdmaMac mac(r0, sim.scheduler(), params);
+  mac.attach_metrics(metrics);
   for (int i = 0; i < 6; ++i) {
     Packet pkt;
     pkt.payload = AdvertisementMsg{};
@@ -118,7 +122,8 @@ TEST(TdmaMacTest, RadioOffDropsQueuedTraffic) {
   Topology topo;
   topo.add({0.0, 0.0});
   DiskLinkModel links(topo, 15.0);
-  Channel channel(sim, topo, links);
+  obs::MetricsRegistry metrics(topo.size());
+  Channel channel(sim, topo, links, metrics);
   energy::EnergyMeter m0;
   Radio r0(0, sim.scheduler(), channel, m0);
   channel.register_radio(r0);
@@ -127,6 +132,7 @@ TEST(TdmaMacTest, RadioOffDropsQueuedTraffic) {
   params.slot_duration = sim::msec(30);
   params.frame_slots = 4;
   TdmaMac mac(r0, sim.scheduler(), params);
+  mac.attach_metrics(metrics);
   Packet pkt;
   pkt.payload = AdvertisementMsg{};
   EXPECT_TRUE(mac.send(pkt));

@@ -127,8 +127,28 @@ while IFS= read -r id; do
   fi
 done <<< "$recipes"
 
+# Telemetry schema gate: DESIGN.md §9 states the schema version twice, in
+# its intro ("currently **N**") and in §9.2's manifest layout ("this
+# contract's version (N)"), and both must be obs::kTelemetrySchemaVersion.
+schema=$(grep -oE 'kTelemetrySchemaVersion = [0-9]+' src/obs/metrics.hpp |
+         grep -oE '[0-9]+$' || true)
+intro=$(grep -oE 'currently \*\*[0-9]+\*\*' DESIGN.md | grep -oE '[0-9]+' || true)
+layout=$(grep -oE "this contract's version \([0-9]+\)" DESIGN.md |
+         grep -oE '[0-9]+' || true)
+if [ -z "$schema" ]; then
+  echo "check_docs: could not parse kTelemetrySchemaVersion from src/obs/metrics.hpp" >&2
+  fail=1
+fi
+for stated in "§9 intro:$intro" "§9.2 manifest layout:$layout"; do
+  if [ "${stated#*:}" != "$schema" ]; then
+    echo "check_docs: DESIGN.md ${stated%%:*} gives schema version" \
+         "'${stated#*:}', src/obs/metrics.hpp has $schema" >&2
+    fail=1
+  fi
+done
+
 if [ "$fail" -eq 0 ]; then
   echo "check_docs: OK ($checked documented binary paths resolve to targets;" \
-       "$(wc -l <<< "$registered") claims have recipes)"
+       "$(wc -l <<< "$registered") claims have recipes; schema v$schema)"
 fi
 exit "$fail"

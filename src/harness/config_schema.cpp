@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "obs/json_writer.hpp"
+#include "storage/eeprom.hpp"
 
 namespace mnp::harness {
 
@@ -265,8 +266,8 @@ void set_boot_jitter_ms(C& cfg, double ms) {
 using net::kMaxDistanceFt;
 using net::kMaxNodesPerSide;
 constexpr double kMaxInterferenceFactor = 10;
-// One EEPROM (storage::Eeprom::kDefaultCapacity).
-constexpr double kMaxProgramBytes = 512 * 1024;
+// A program fits one EEPROM.
+constexpr double kMaxProgramBytes = storage::Eeprom::kDefaultCapacity;
 
 std::vector<ConfigField> build_fields() {
   using M = core::MnpConfig;

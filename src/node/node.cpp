@@ -8,7 +8,7 @@ namespace mnp::node {
 
 Node::Node(net::NodeId id, sim::Simulator& sim, net::Channel& channel,
            StatsCollector& stats, energy::EnergyModel energy_model,
-           std::size_t eeprom_capacity, const MacFactory& mac_factory)
+           const MacFactory& mac_factory)
     : id_(id),
       sim_(sim),
       stats_(stats),
@@ -18,7 +18,7 @@ Node::Node(net::NodeId id, sim::Simulator& sim, net::Channel& channel,
                ? mac_factory(id, radio_, sim)
                : std::make_unique<net::CsmaMac>(
                      radio_, sim.scheduler(), sim.fork_rng(0x3A5Cu + id))),
-      eeprom_(eeprom_capacity, &meter_),
+      eeprom_(storage::Eeprom::kDefaultCapacity, &meter_),
       rng_(sim.fork_rng(0x901Du + id)) {
   channel.register_radio(radio_);
   // Before any send: the MAC's counters live in the network's registry.

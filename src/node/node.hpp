@@ -28,7 +28,6 @@ class Node {
 
   Node(net::NodeId id, sim::Simulator& sim, net::Channel& channel,
        StatsCollector& stats, energy::EnergyModel energy_model = {},
-       std::size_t eeprom_capacity = storage::Eeprom::kDefaultCapacity,
        const MacFactory& mac_factory = nullptr);
 
   Node(const Node&) = delete;

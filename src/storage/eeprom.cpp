@@ -3,23 +3,50 @@
 #include <algorithm>
 
 namespace mnp::storage {
+namespace {
+
+/// Sets the write marks of bytes [first, first + n) within one page's
+/// mark words; returns true when any of them was already set.
+bool mark_written(std::uint64_t* words, std::size_t first, std::size_t n) {
+  bool seen = false;
+  const std::size_t end = first + n;
+  for (std::size_t bit = first; bit < end;) {
+    const std::size_t word = bit / 64;
+    const std::size_t lo = bit % 64;
+    const std::size_t hi = std::min<std::size_t>(64, end - word * 64);
+    const std::uint64_t mask =
+        hi - lo == 64 ? ~std::uint64_t{0}
+                      : ((std::uint64_t{1} << (hi - lo)) - 1) << lo;
+    seen = seen || (words[word] & mask) != 0;
+    words[word] |= mask;
+    bit = word * 64 + hi;
+  }
+  return seen;
+}
+
+}  // namespace
 
 Eeprom::Eeprom(std::size_t capacity, energy::EnergyMeter* meter)
-    : data_(capacity, 0), written_(capacity, false), meter_(meter) {}
+    : capacity_(capacity),
+      pages_((capacity + kPageBytes - 1) / kPageBytes),
+      meter_(meter) {}
 
 bool Eeprom::write(std::size_t offset, const std::vector<std::uint8_t>& bytes) {
-  if (offset > data_.size() || bytes.size() > data_.size() - offset) return false;
-  if (track_write_once_) {
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-      if (written_[offset + i]) {
-        ++double_writes_;
-        break;
-      }
-    }
+  if (offset > capacity_ || bytes.size() > capacity_ - offset) return false;
+  bool overlapped = false;
+  const std::uint8_t* src = bytes.data();
+  for (std::size_t done = 0; done < bytes.size();) {
+    const std::size_t pos = offset + done;
+    const std::size_t in_page = pos % kPageBytes;
+    const std::size_t run = std::min(kPageBytes - in_page, bytes.size() - done);
+    auto& page = pages_[pos / kPageBytes];
+    if (!page) page = std::make_unique<Page>();
+    overlapped = mark_written(page->written, in_page, run) || overlapped;
+    // std::copy, not memcpy: g++ expands a page-bounded memcpy as rep movsq.
+    std::copy(src + done, src + done + run, page->data + in_page);
+    done += run;
   }
-  std::copy(bytes.begin(), bytes.end(), data_.begin() + static_cast<long>(offset));
-  std::fill(written_.begin() + static_cast<long>(offset),
-            written_.begin() + static_cast<long>(offset + bytes.size()), true);
+  if (track_write_once_ && overlapped) ++double_writes_;
   ++total_writes_;
   bytes_written_ += bytes.size();
   if (meter_) meter_->count_eeprom_write(bytes.size());
@@ -35,16 +62,32 @@ std::vector<std::uint8_t> Eeprom::read(std::size_t offset, std::size_t length) {
 void Eeprom::read_into(std::size_t offset, std::size_t length,
                        std::vector<std::uint8_t>& out) {
   out.clear();
-  if (offset > data_.size() || length > data_.size() - offset) return;
+  if (offset > capacity_ || length > capacity_ - offset) return;
   ++total_reads_;
   if (meter_) meter_->count_eeprom_read(length);
-  out.insert(out.end(), data_.begin() + static_cast<long>(offset),
-             data_.begin() + static_cast<long>(offset + length));
+  out.reserve(length);
+  for (std::size_t pos = offset, end = offset + length; pos < end;) {
+    const std::size_t in_page = pos % kPageBytes;
+    const std::size_t run = std::min(kPageBytes - in_page, end - pos);
+    const Page* page = pages_[pos / kPageBytes].get();
+    // vector::insert, not memcpy: see write().
+    if (page) {
+      out.insert(out.end(), page->data + in_page, page->data + in_page + run);
+    } else {
+      out.insert(out.end(), run, std::uint8_t{0});
+    }
+    pos += run;
+  }
 }
 
 void Eeprom::erase() {
-  std::fill(data_.begin(), data_.end(), std::uint8_t{0});
-  std::fill(written_.begin(), written_.end(), false);
+  for (auto& page : pages_) page.reset();
+}
+
+std::size_t Eeprom::resident_pages() const {
+  return static_cast<std::size_t>(
+      std::count_if(pages_.begin(), pages_.end(),
+                    [](const auto& page) { return page != nullptr; }));
 }
 
 }  // namespace mnp::storage

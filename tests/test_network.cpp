@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "mnp/mnp_node.hpp"
 #include "net/tdma_mac.hpp"
@@ -17,15 +18,21 @@ std::unique_ptr<net::LinkModel> disk_links(const net::Topology& t) {
 }
 
 TEST(Network, BuildsOneNodePerPosition) {
-  sim::Simulator sim(1);
-  Network network(sim, net::Topology::grid(3, 4, 10.0), disk_links);
-  EXPECT_EQ(network.size(), 12u);
-  for (net::NodeId id = 0; id < 12; ++id) {
-    EXPECT_EQ(network.node(id).id(), id);
-    EXPECT_FALSE(network.node(id).radio_is_on());  // not booted yet
+  // 100x100 too: flash is paged in on first write, so even 10,000 fresh
+  // nodes hold no EEPROM page.
+  for (const auto& [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{3, 4}, {100, 100}}) {
+    sim::Simulator sim(1);
+    Network network(sim, net::Topology::grid(rows, cols, 10.0), disk_links);
+    ASSERT_EQ(network.size(), rows * cols);
+    for (net::NodeId id = 0; id < network.size(); ++id) {
+      EXPECT_EQ(network.node(id).id(), id);
+      EXPECT_FALSE(network.node(id).radio_is_on());  // not booted yet
+      EXPECT_EQ(network.node(id).eeprom().resident_pages(), 0u);
+    }
+    EXPECT_EQ(network.stats().node_count(), rows * cols);
+    EXPECT_EQ(network.topology().grid_cols(), cols);
   }
-  EXPECT_EQ(network.stats().node_count(), 12u);
-  EXPECT_EQ(network.topology().grid_cols(), 4u);
 }
 
 TEST(Network, BootAllJittersWithinBound) {
@@ -81,6 +88,31 @@ TEST(Network, CompleteImageCountTracksApplications) {
   sim.run_until_condition(sim::hours(1),
                           [&] { return network.stats().all_completed(); });
   EXPECT_EQ(network.complete_image_count(), 2u);
+}
+
+TEST(Network, CompletedRunHoldsOnlyTheImagePages) {
+  // MNP 5x5, 5 segments: a 14,080-byte image fills ceil(14,080 / 4096) = 4
+  // pages on every receiver; the base serves from RAM and writes none.
+  sim::Simulator sim(1);
+  Network network(sim, net::Topology::grid(5, 5, 10.0), disk_links);
+  core::MnpConfig cfg;
+  auto image = std::make_shared<const core::ProgramImage>(
+      1, 5 * cfg.packets_per_segment * cfg.payload_bytes,
+      cfg.packets_per_segment, cfg.payload_bytes);
+  ASSERT_EQ(image->total_bytes(), 14080u);
+  for (net::NodeId id = 0; id < network.size(); ++id) {
+    network.node(id).set_application(
+        id == 0 ? std::make_unique<core::MnpNode>(cfg, image)
+                : std::make_unique<core::MnpNode>(cfg));
+  }
+  network.boot_all();
+  ASSERT_TRUE(sim.run_until_condition(
+      sim::hours(2),
+      [&] { return network.complete_image_count() == network.size(); }));
+  EXPECT_EQ(network.node(0).eeprom().resident_pages(), 0u);
+  for (net::NodeId id = 1; id < network.size(); ++id) {
+    EXPECT_EQ(network.node(id).eeprom().resident_pages(), 4u) << "node " << id;
+  }
 }
 
 TEST(Network, MacFactoryInstallsCustomMac) {

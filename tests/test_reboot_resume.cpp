@@ -30,6 +30,8 @@ TEST(ProgressJournal, AppendsAndRecoversInOrder) {
   boot::ProgressJournal journal(eeprom);
   ASSERT_TRUE(journal.usable(/*image_end=*/1024));
   EXPECT_FALSE(journal.recover().has_value());
+  EXPECT_EQ(journal.entries(), 0u);
+  EXPECT_EQ(eeprom.resident_pages(), 0u);  // replaying reads, never allocates
 
   EXPECT_TRUE(journal.append(7, 5632, 1));
   EXPECT_TRUE(journal.append(7, 5632, 2));
@@ -39,6 +41,7 @@ TEST(ProgressJournal, AppendsAndRecoversInOrder) {
   EXPECT_EQ(rec->program_id, 7);
   EXPECT_EQ(rec->program_bytes, 5632u);
   EXPECT_EQ(rec->units, (std::vector<std::uint16_t>{1, 2, 3}));
+  EXPECT_EQ(eeprom.resident_pages(), 1u);  // the journal is the top page
 }
 
 TEST(ProgressJournal, RecoverySurvivesSimulatedPowerLoss) {
@@ -157,6 +160,8 @@ TEST(RebootResume, MnpNodeResumesFromJournaledSegments) {
   }));
   const auto stored = network.node(8).eeprom().read(0, bytes);
   EXPECT_TRUE(image->matches(stored));
+  // ceil(8,448 / 4096) = 3 image pages, plus the journal's top page.
+  EXPECT_EQ(network.node(8).eeprom().resident_pages(), 4u);
 }
 
 TEST(RebootResume, DelugeNodeResumesFromJournaledPages) {

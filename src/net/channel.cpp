@@ -251,19 +251,11 @@ bool Channel::carrier_busy(NodeId listener) const {
   return false;
 }
 
-std::shared_ptr<Channel::Active> Channel::acquire_active() {
-  // Scan for a retired record the scheduler has released (the completion
-  // lambda keeps a reference until it runs; such entries sit at
-  // use_count() > 1 and stay in the retired list).
-  for (std::size_t i = retired_active_.size(); i-- > 0;) {
-    if (retired_active_[i].use_count() == 1) {
-      std::shared_ptr<Active> tx = std::move(retired_active_[i]);
-      retired_active_[i] = std::move(retired_active_.back());
-      retired_active_.pop_back();
-      return tx;
-    }
-  }
-  return std::make_shared<Active>();
+Channel::Active& Channel::acquire_active() {
+  if (free_records_.empty()) return records_.emplace_back();
+  Active* tx = free_records_.back();
+  free_records_.pop_back();
+  return *tx;
 }
 
 void Channel::count_collision(NodeId victim) {
@@ -298,14 +290,14 @@ void Channel::begin_transmission(NodeId src, Packet pkt) {
 }
 
 void Channel::begin_transmission(NodeId src, FramePtr frame) {
-  std::shared_ptr<Active> tx = acquire_active();
-  tx->src = src;
-  tx->start = sim_.now();
-  tx->end = sim_.now() + airtime(*frame);
-  tx->bulk = is_bulk_data(frame->type());
-  tx->frame = std::move(frame);
+  Active& tx = acquire_active();
+  tx.src = src;
+  tx.start = sim_.now();
+  tx.end = sim_.now() + airtime(*frame);
+  tx.bulk = is_bulk_data(frame->type());
+  tx.frame = std::move(frame);
   metrics_.add(m_tx_, src);
-  if (observer_) observer_->on_transmit(src, tx->pkt(), sim_.now());
+  if (observer_) observer_->on_transmit(src, tx.pkt(), sim_.now());
 
   // Candidate receivers: every node currently listening whose radio hears
   // this source at all (interference reach, not just decode reach). The
@@ -313,14 +305,16 @@ void Channel::begin_transmission(NodeId src, FramePtr frame) {
   // model. Both paths enumerate in ascending node order, and the listening
   // filter reads the SoA byte array — no Radio dereference per neighbor.
   if (params_.neighbor_cache) {
-    enroll_cached(*tx);
+    enroll_cached(tx);
   } else {
-    enroll_oracle(*tx);
+    enroll_oracle(tx);
   }
 
-  tx->index = active_.size();
-  active_.push_back(tx);
-  sim_.scheduler().post_at(tx->end, [this, tx] { end_transmission(tx); });
+  tx.index = active_.size();
+  active_.push_back(&tx);
+  Active* record = &tx;
+  sim_.scheduler().post_at(tx.end,
+                           [this, record] { end_transmission(*record); });
 }
 
 void Channel::enroll_cached(Active& tx) {
@@ -349,7 +343,7 @@ void Channel::enroll_cached(Active& tx) {
     if (r >= listening_.size() || !listening_[r]) continue;
     tx.candidates.push_back(r);
     tx.success.push_back(success[i]);
-    tx.corrupted.push_back(hit);
+    tx.corrupted.push_back(hit ? 1 : 0);
     tx.enrolled.push_back(at.epoch);
     if (hit) {
       count_collision(r);
@@ -381,7 +375,7 @@ void Channel::enroll_oracle(Active& tx) {
     if (!links_.interferes(src, id, ps)) continue;
     tx.candidates.push_back(id);
     tx.success.push_back(links_.packet_success(src, id, ps));
-    tx.corrupted.push_back(false);
+    tx.corrupted.push_back(0);
   }
 
   // Cross-corruption with every transmission already in flight: a listener
@@ -396,14 +390,14 @@ void Channel::enroll_oracle(Active& tx) {
     for (std::size_t i = 0; i < tx.candidates.size(); ++i) {
       const NodeId r = tx.candidates[i];
       if (!tx.corrupted[i] && other_reaches(r)) {
-        tx.corrupted[i] = true;
+        tx.corrupted[i] = 1;
         count_collision(r);
       }
     }
     for (std::size_t i = 0; i < other->candidates.size(); ++i) {
       const NodeId r = other->candidates[i];
       if (!other->corrupted[i] && tx_reaches(r)) {
-        other->corrupted[i] = true;
+        other->corrupted[i] = 1;
         count_collision(r);
       }
     }
@@ -444,16 +438,16 @@ void Channel::radio_stopped_listening(NodeId id) {
     const auto& cand = tx->candidates;
     const auto it = std::lower_bound(cand.begin(), cand.end(), id);
     if (it != cand.end() && *it == id) {
-      tx->corrupted[static_cast<std::size_t>(it - cand.begin())] = true;
+      tx->corrupted[static_cast<std::size_t>(it - cand.begin())] = 1;
     }
   }
 }
 
-void Channel::unlink_active(const std::shared_ptr<Active>& tx) {
-  const std::size_t idx = tx->index;
+void Channel::unlink_active(const Active& tx) {
+  const std::size_t idx = tx.index;
   const std::size_t last = active_.size() - 1;
   if (idx != last) {
-    active_[idx] = std::move(active_[last]);
+    active_[idx] = active_[last];
     active_[idx]->index = idx;
   }
   active_.pop_back();
@@ -466,41 +460,36 @@ void Channel::settle_cached(Active& tx) {
     if (tx.corrupted[i]) continue;
     Listener& at = listeners_[tx.candidates[i]];
     if (at.epoch != tx.enrolled[i]) {
-      tx.corrupted[i] = true;  // killed while in flight
+      tx.corrupted[i] = 1;  // killed while in flight
     } else {
       --at.live;
     }
   }
 }
 
-void Channel::end_transmission(const std::shared_ptr<Active>& tx) {
+void Channel::end_transmission(Active& tx) {
   unlink_active(tx);
-  if (params_.neighbor_cache) settle_cached(*tx);
-  for (std::size_t i = 0; i < tx->candidates.size(); ++i) {
-    if (tx->corrupted[i]) continue;
-    const NodeId r = tx->candidates[i];
+  if (params_.neighbor_cache) settle_cached(tx);
+  for (std::size_t i = 0; i < tx.candidates.size(); ++i) {
+    if (tx.corrupted[i]) continue;
+    const NodeId r = tx.candidates[i];
     if (r >= listening_.size() || !listening_[r]) continue;
     Radio* radio = radios_[r];
     if (!radio) continue;
-    if (!rng_.bernoulli(tx->success[i])) continue;
+    if (!rng_.bernoulli(tx.success[i])) continue;
     metrics_.add(m_delivered_, r);
-    if (observer_) observer_->on_deliver(tx->src, r, tx->pkt(), sim_.now());
+    if (observer_) observer_->on_deliver(tx.src, r, tx.pkt(), sim_.now());
     // Every receiver reads the one shared immutable frame.
-    radio->deliver(tx->pkt());
+    radio->deliver(tx.pkt());
   }
-  if (retired_active_.size() < 64) {
-    // Park the record for reuse; capacity of the candidate vectors and the
-    // shared_ptr control block survive. The completion lambda still holds
-    // a reference until the scheduler drops it, which acquire_active
-    // detects via use_count().
-    tx->frame.reset();
-    tx->candidates.clear();
-    tx->success.clear();
-    tx->corrupted.clear();
-    tx->reached.clear();
-    tx->enrolled.clear();
-    retired_active_.push_back(tx);
-  }
+  // Recycle the record; its vectors keep their capacity.
+  tx.frame.reset();
+  tx.candidates.clear();
+  tx.success.clear();
+  tx.corrupted.clear();
+  tx.reached.clear();
+  tx.enrolled.clear();
+  free_records_.push_back(&tx);
 }
 
 }  // namespace mnp::net

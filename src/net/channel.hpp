@@ -43,6 +43,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -165,7 +166,7 @@ class Channel {
     std::size_t index;               // position in active_, for swap-pop
     std::vector<NodeId> candidates;  // listening-at-start, interfered, ascending
     std::vector<double> success;     // decode probability, parallel to candidates
-    std::vector<bool> corrupted;     // parallel to candidates
+    std::vector<std::uint8_t> corrupted;  // 0/1, parallel to candidates
     // Cached path only: the row this transmission is counted into
     // Listener::reach with, and each candidate's Listener::epoch at
     // enrolment (parallel to candidates).
@@ -240,10 +241,8 @@ class Channel {
   void rebuild_row(ScaleCache& cache, NodeId src) const;
   void publish_grid_gauges() const;
 
-  /// Fetches a transmission record, recycling a retired one when the
-  /// scheduler has let go of it (its completion lambda holds a reference
-  /// until it fires, so only use_count()==1 entries are reusable).
-  std::shared_ptr<Active> acquire_active();
+  /// Fetches a transmission record, recycling a finished one.
+  Active& acquire_active();
   /// Cached path: one walk of the source's row enrolls candidates and
   /// settles every collision the new transmission causes or suffers.
   void enroll_cached(Active& tx);
@@ -255,8 +254,9 @@ class Channel {
   void settle_cached(Active& tx);
   void count_collision(NodeId victim);
   void count_bulk_overlap();
-  void end_transmission(const std::shared_ptr<Active>& tx);
-  void unlink_active(const std::shared_ptr<Active>& tx);
+  /// Delivers `tx` at the end of its airtime and recycles its record.
+  void end_transmission(Active& tx);
+  void unlink_active(const Active& tx);
 
   sim::Simulator& sim_;
   const Topology& topo_;
@@ -277,8 +277,11 @@ class Channel {
   /// id they can hold; mutable because a world change re-counts reach from
   /// const queries.
   mutable std::vector<Listener> listeners_;
-  std::vector<std::shared_ptr<Active>> active_;
-  std::vector<std::shared_ptr<Active>> retired_active_;  // reuse candidates
+  /// Every transmission record the channel has made; a deque so records
+  /// keep their address while the end-of-airtime event points at them.
+  std::deque<Active> records_;
+  std::vector<Active*> free_records_;  // records not in flight
+  std::vector<Active*> active_;        // in flight; Active::index is the slot
   // Lazily built, small (one entry per distinct power scale seen); mutable
   // so the const query paths can materialize a scale on first use.
   mutable std::vector<std::unique_ptr<ScaleCache>> scales_;

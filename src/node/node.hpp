@@ -45,7 +45,7 @@ class Node {
 
   /// One-shot timer; cancel via the returned handle.
   sim::EventHandle schedule(sim::Time delay, sim::Scheduler::Action action) {
-    return sim_.scheduler().schedule_after(delay, std::move(action));
+    return sim_.scheduler().schedule_after(delay, action);
   }
 
   /// Queues `pkt` on the MAC (src is stamped here). Returns false if

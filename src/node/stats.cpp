@@ -82,7 +82,11 @@ void StatsCollector::on_transmit(net::NodeId src, const net::Packet& pkt,
     ++nodes_[src].sent[static_cast<std::size_t>(pkt.type())];
   }
   const std::int64_t minute = now / sim::minutes(1);
-  ++timeline_[minute][static_cast<std::size_t>(classify(pkt.type()))];
+  if (current_row_ == nullptr || minute != current_minute_) {
+    current_row_ = &timeline_[minute];  // map nodes never move
+    current_minute_ = minute;
+  }
+  ++(*current_row_)[static_cast<std::size_t>(classify(pkt.type()))];
   if (event_log_) {
     event_log_->record(now, src, trace::EventKind::kPacketSent,
                        std::string_view(net::type_name(pkt.type())));

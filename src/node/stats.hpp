@@ -49,6 +49,9 @@ class StatsCollector final : public net::ChannelObserver {
   /// Tracks `metrics.node_count()` nodes and registers the node.* counters
   /// in `metrics`, which must outlive the collector.
   explicit StatsCollector(obs::MetricsRegistry& metrics);
+  /// The channel holds its address, and it points into its own timeline.
+  StatsCollector(const StatsCollector&) = delete;
+  StatsCollector& operator=(const StatsCollector&) = delete;
 
   // --- ChannelObserver -----------------------------------------------------
   void on_transmit(net::NodeId src, const net::Packet& pkt, sim::Time now) override;
@@ -104,6 +107,10 @@ class StatsCollector final : public net::ChannelObserver {
   std::vector<NodeStats> nodes_;
   std::vector<net::NodeId> sender_order_;
   std::map<std::int64_t, std::array<std::uint64_t, 4>> timeline_;
+  /// The row on_transmit counted into last, so a transmission in the same
+  /// minute skips the map lookup.
+  std::array<std::uint64_t, 4>* current_row_ = nullptr;
+  std::int64_t current_minute_ = 0;
 };
 
 }  // namespace mnp::node

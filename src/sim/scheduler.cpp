@@ -1,138 +1,123 @@
 #include "sim/scheduler.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
-#include <utility>
 
 #include "sim/audit.hpp"
 
 namespace mnp::sim {
 
-void Scheduler::push(Time when, Action action, std::uint32_t slot,
-                     std::uint32_t gen) {
+std::uint32_t Scheduler::push(Time when, const Action& action) {
   if (when < now_) when = now_;
   const std::uint64_t seq = next_seq_++;
   const std::uint64_t tag =
       fnv1a(fnv1a(kFnvOffset, static_cast<std::uint64_t>(when)), seq);
-  heap_.push_back(Entry{when, seq, slot, gen, tag, std::move(action)});
-  std::push_heap(heap_.begin(), heap_.end(), later());
-  ++live_;
-  pending_sig_ ^= tag;
-  if (slot != kNoSlot) slots_[slot].tag = tag;
-}
-
-EventHandle Scheduler::schedule_at(Time when, Action action) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(Slot{});
+    slots_.emplace_back();
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  const std::uint32_t gen = slots_[slot].gen;
-  push(when, std::move(action), slot, gen);
-  return EventHandle(this, slot, gen);
+  Slot& s = slots_[slot];
+  s.action = action;
+  s.tag = tag;
+  pending_sig_ ^= tag;
+  heap_.push_back(Key{when, seq, slot});
+  sift_up(heap_.size() - 1);
+  return slot;
+}
+
+EventHandle Scheduler::schedule_at(Time when, Action action) {
+  const std::uint32_t slot = push(when, action);
+  return EventHandle(this, slot, slots_[slot].gen);
 }
 
 EventHandle Scheduler::schedule_after(Time delay, Action action) {
   if (delay < 0) delay = 0;
-  return schedule_at(now_ + delay, std::move(action));
-}
-
-void Scheduler::post_at(Time when, Action action) {
-  push(when, std::move(action), kNoSlot, 0);
+  return schedule_at(now_ + delay, action);
 }
 
 void Scheduler::post_after(Time delay, Action action) {
   if (delay < 0) delay = 0;
-  post_at(now_ + delay, std::move(action));
+  push(now_ + delay, action);
+}
+
+void Scheduler::sift_up(std::size_t pos) {
+  const Key key = heap_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!before(key, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, key);
+}
+
+void Scheduler::sift_down(std::size_t pos) {
+  const Key key = heap_[pos];
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], key)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, key);
+}
+
+void Scheduler::remove_at(std::size_t pos) {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;  // the removed key was the last one
+  place(pos, last);
+  if (pos > 0 && before(last, heap_[(pos - 1) / 2])) {
+    sift_up(pos);
+  } else {
+    sift_down(pos);
+  }
 }
 
 void Scheduler::cancel_slot(std::uint32_t slot, std::uint32_t gen) {
-  if (slot >= slots_.size()) return;
+  if (!slot_pending(slot, gen)) return;
   Slot& s = slots_[slot];
-  if (s.gen != gen || s.cancelled) return;
-  s.cancelled = true;
-  --live_;
-  ++tombstones_;
-  // The entry leaves the live set now; sweeping its tombstone later must
-  // not touch the signature again.
   pending_sig_ ^= s.tag;
-  // Lazy-deletion bound: once tombstones dominate, sweep them all at once
-  // so a cancel-heavy workload cannot grow the heap past 2x the live set.
-  if (tombstones_ > 64 && tombstones_ * 2 > heap_.size()) compact();
+  ++s.gen;  // the handle goes stale with the event
+  remove_at(s.pos);
+  free_slots_.push_back(slot);
 }
 
-Scheduler::Entry Scheduler::take_top() {
-  std::pop_heap(heap_.begin(), heap_.end(), later());
-  Entry e = std::move(heap_.back());
-  heap_.pop_back();
-  return e;
-}
-
-void Scheduler::release_slot(const Entry& entry) {
-  if (entry.slot == kNoSlot) return;
-  Slot& s = slots_[entry.slot];
-  assert(s.gen == entry.gen);
-  ++s.gen;  // invalidate outstanding handles before the slot is recycled
-  if (s.cancelled) {
-    s.cancelled = false;
-    --tombstones_;
-  }
-  free_slots_.push_back(entry.slot);
-}
-
-void Scheduler::prune_tombstones() {
-  while (!heap_.empty() && entry_cancelled(heap_.front())) {
-    Entry e = take_top();
-    release_slot(e);
-  }
-}
-
-void Scheduler::compact() {
-  const auto keep_end = std::remove_if(
-      heap_.begin(), heap_.end(), [this](const Entry& e) {
-        if (!entry_cancelled(e)) return false;
-        release_slot(e);
-        return true;
-      });
-  heap_.erase(keep_end, heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), later());
+void Scheduler::fire_next() {
+  const Key top = heap_.front();
+  Slot& s = slots_[top.slot];
+  // Copied out and the slot freed before the action runs: the action may
+  // schedule (growing slots_), cancel its own stale handle or re-arm.
+  Action action = s.action;
+  pending_sig_ ^= s.tag;  // the entry leaves the pending set as it fires
+  ++s.gen;
+  free_slots_.push_back(top.slot);
+  remove_at(0);
+  assert(top.when >= now_);
+  now_ = top.when;
+  ++executed_;
+  action();
+  if (audit_ != nullptr) audit_->on_event(now_, pending_sig_, executed_ - 1);
 }
 
 void Scheduler::set_tie_break(TieBreak tie_break) {
   if (tie_break == tie_break_) return;
   tie_break_ = tie_break;
-  std::make_heap(heap_.begin(), heap_.end(), later());
-}
-
-bool Scheduler::empty() {
-  prune_tombstones();
-  return heap_.empty();
-}
-
-Time Scheduler::next_event_time() {
-  prune_tombstones();
-  return heap_.empty() ? kNever : heap_.front().when;
+  for (std::size_t pos = heap_.size() / 2; pos-- > 0;) sift_down(pos);
 }
 
 std::uint64_t Scheduler::run_until(Time until) {
   std::uint64_t count = 0;
-  for (;;) {
-    prune_tombstones();
-    if (heap_.empty() || heap_.front().when > until) break;
-    Entry e = take_top();
-    release_slot(e);
-    --live_;
-    pending_sig_ ^= e.tag;  // the entry leaves the pending set as it fires
-    assert(e.when >= now_);
-    now_ = e.when;
-    ++executed_;
+  while (!heap_.empty() && heap_.front().when <= until) {
+    fire_next();
     ++count;
-    e.action();
-    if (audit_ != nullptr) audit_->on_event(now_, pending_sig_, executed_ - 1);
   }
   // The window [now_, until] is fully processed: park the clock at the
   // horizon so repeated relative windows (run_until(now() + dt)) make
@@ -145,17 +130,8 @@ std::uint64_t Scheduler::run_until(Time until) {
 }
 
 bool Scheduler::step() {
-  prune_tombstones();
   if (heap_.empty()) return false;
-  Entry e = take_top();
-  release_slot(e);
-  --live_;
-  pending_sig_ ^= e.tag;
-  assert(e.when >= now_);
-  now_ = e.when;
-  ++executed_;
-  e.action();
-  if (audit_ != nullptr) audit_->on_event(now_, pending_sig_, executed_ - 1);
+  fire_next();
   return true;
 }
 

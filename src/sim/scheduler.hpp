@@ -3,14 +3,17 @@
 // Events are closures ordered by (time, insertion sequence) so same-time
 // events run in a deterministic FIFO order.
 //
-// Cancellation never allocates: cancellable events borrow a slot from an
-// intrusive free-list of generation-counted states owned by the scheduler
-// (a handle is just {scheduler, slot, generation}), and fire-and-forget
-// events posted via `post_at`/`post_after` skip the slot entirely — the
-// common hot path (packet end-of-airtime, boot jitter, send-done) performs
-// zero bookkeeping allocations. Cancelled events are tombstones skipped
-// when popped; when more than half the queue is tombstones the heap is
-// compacted in one sweep, so cancelled-timer-heavy runs stay O(live).
+// The queue never allocates in steady state. Every event, posted or
+// scheduled, occupies a slot of a recycled pool that holds its action (a
+// fixed-size inline callable, never a heap closure), its FNV-1a tag, a
+// generation counter and the index of its key in the heap. The binary heap
+// itself holds only 24-byte trivially copyable keys {when, seq, slot}, so a
+// sift moves three words per level. A handle is {scheduler, slot,
+// generation}; cancel() removes the event's key at its recorded heap index
+// at once, so the heap holds exactly the live pending set and no cancelled
+// event is ever popped. Firing copies the action out and frees the slot
+// before running it: stale handles stay inert and an action may re-arm its
+// own timer.
 //
 // Determinism auditing (DESIGN.md section 12): the scheduler maintains an
 // incremental XOR signature of the live pending set (one FNV-1a tag per
@@ -21,9 +24,12 @@
 // whose relative order silently changes protocol state.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -66,27 +72,64 @@ class EventHandle {
 
 class Scheduler {
  public:
-  using Action = std::function<void()>;
+  /// An event's action: a callable stored in place, never on the heap. It
+  /// takes any trivially copyable, trivially destructible callable of at
+  /// most kCapacity bytes — a lambda capturing pointers, references and
+  /// plain values. Anything larger, or owning (a std::function, a
+  /// shared_ptr, a container), fails to compile: capture a pointer to it.
+  class Action {
+   public:
+    /// The largest production capture: ScenarioEngine::start_move's
+    /// [this, id, p, last].
+    static constexpr std::size_t kCapacity = 40;
+    static constexpr std::size_t kAlign = alignof(std::uint64_t);
 
-  /// Schedules `action` at absolute time `when` (must be >= now()).
+    Action() = default;
+
+    /// Implicit, so a lambda passes straight to schedule_*/post_*.
+    template <typename F>
+      requires(!std::is_same_v<F, Action> && std::is_invocable_v<F&>)
+    Action(F f) {
+      static_assert(sizeof(F) <= kCapacity,
+                    "event capture too large: capture a pointer instead");
+      static_assert(alignof(F) <= kAlign, "event capture over-aligned");
+      static_assert(std::is_trivially_copyable_v<F> &&
+                        std::is_trivially_destructible_v<F>,
+                    "event capture must be trivially copyable and "
+                    "destructible: capture a pointer to what it owns");
+      std::construct_at(reinterpret_cast<F*>(storage_), f);
+      invoke_ = [](unsigned char* storage) {
+        (*std::launder(reinterpret_cast<F*>(storage)))();
+      };
+    }
+
+    void operator()() { invoke_(storage_); }
+
+   private:
+    void (*invoke_)(unsigned char*) = nullptr;
+    alignas(kAlign) unsigned char storage_[kCapacity] = {};
+  };
+  static_assert(std::is_trivially_copyable_v<Action>);
+
+  /// Schedules `action` at absolute time `when` (clamped to >= now()).
   EventHandle schedule_at(Time when, Action action);
 
   /// Schedules `action` `delay` microseconds from now (clamped to >= 0).
   EventHandle schedule_after(Time delay, Action action);
 
-  /// Fire-and-forget variants: no handle, no cancellation state. Use these
-  /// on hot paths that never cancel (the scheduler allocates nothing beyond
-  /// the queue entry itself).
-  void post_at(Time when, Action action);
+  /// Fire-and-forget variants for callers that never cancel: the same
+  /// queue entry, minus the handle.
+  void post_at(Time when, Action action) { push(when, action); }
   void post_after(Time delay, Action action);
 
   Time now() const { return now_; }
-  /// True when no live (non-cancelled) event remains. Prunes tombstones.
-  bool empty();
-  /// Live queued events. Cancelled events leave this count immediately.
-  std::size_t pending_events() const { return live_; }
-  /// Cancelled events still occupying the queue as tombstones.
-  std::size_t tombstone_events() const { return tombstones_; }
+  /// True when no event is pending.
+  bool empty() const { return heap_.empty(); }
+  /// Queued events. A cancelled event leaves the queue immediately.
+  std::size_t pending_events() const { return heap_.size(); }
+  /// Always 0: cancellation removes the event from the queue at once, so
+  /// no cancelled entry lingers. Kept for callers that report queue health.
+  std::size_t tombstone_events() const { return 0; }
   std::uint64_t executed_events() const { return executed_; }
 
   /// Runs events until the queue is empty or the next event is after
@@ -100,8 +143,10 @@ class Scheduler {
   /// Executes at most one pending event. Returns false if none remained.
   bool step();
 
-  /// Time of the next live event, or kNever if none. Prunes tombstones.
-  Time next_event_time();
+  /// Time of the next event, or kNever if none.
+  Time next_event_time() const {
+    return heap_.empty() ? kNever : heap_.front().when;
+  }
 
   /// Switches the same-time tie-break. Safe at any point: the heap is
   /// re-ordered under the new comparator.
@@ -118,58 +163,58 @@ class Scheduler {
 
  private:
   friend class EventHandle;
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  struct Entry {
+  /// Heap entry: only what ordering needs, plus the slot holding the rest.
+  struct Key {
     Time when;
     std::uint64_t seq;
-    std::uint32_t slot;  // kNoSlot for fire-and-forget posts
-    std::uint32_t gen;
-    std::uint64_t tag;  // FNV-1a of (when, seq); XORed into pending_sig_
-    Action action;
+    std::uint32_t slot;
   };
-  /// Cancellation state, pooled and recycled; `gen` disambiguates handles
-  /// from earlier tenants of the same slot.
-  struct Slot {
-    std::uint32_t gen = 0;
-    bool cancelled = false;
-    std::uint64_t tag = 0;  // tag of the current tenant, for cancellation
-  };
-  struct Later {
-    TieBreak tie_break;
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return tie_break == TieBreak::kFifo ? a.seq > b.seq : a.seq < b.seq;
-    }
-  };
-  Later later() const { return Later{tie_break_}; }
+  static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
 
-  void push(Time when, Action action, std::uint32_t slot, std::uint32_t gen);
-  Entry take_top();
-  void release_slot(const Entry& entry);
-  bool entry_cancelled(const Entry& entry) const {
-    return entry.slot != kNoSlot && slots_[entry.slot].cancelled;
+  /// One event's out-of-line state, pooled and recycled. `gen` is bumped
+  /// whenever the slot is vacated (fired or cancelled), so handles from
+  /// earlier tenants never match the current one.
+  struct Slot {
+    Action action;
+    std::uint64_t tag = 0;  // FNV-1a of (when, seq); XORed into pending_sig_
+    std::uint32_t gen = 0;
+    std::uint32_t pos = 0;  // index of the tenant's key in heap_
+  };
+
+  /// Queues `action` and returns its slot.
+  std::uint32_t push(Time when, const Action& action);
+  /// Pops and runs the earliest event; the heap must not be empty.
+  void fire_next();
+  /// Drops the key at heap index `pos`, restoring the heap around it.
+  void remove_at(std::size_t pos);
+  void sift_up(std::size_t pos);
+  void sift_down(std::size_t pos);
+  /// Stores `key` at heap index `pos` and records the index in its slot.
+  void place(std::size_t pos, const Key& key) {
+    heap_[pos] = key;
+    slots_[key.slot].pos = static_cast<std::uint32_t>(pos);
   }
-  void prune_tombstones();
-  void compact();
+  /// True when `a` runs before `b` under the active tie-break.
+  bool before(const Key& a, const Key& b) const {
+    if (a.when != b.when) return a.when < b.when;
+    return tie_break_ == TieBreak::kFifo ? a.seq < b.seq : a.seq > b.seq;
+  }
 
   // EventHandle backends.
   bool slot_pending(std::uint32_t slot, std::uint32_t gen) const {
-    return slot < slots_.size() && slots_[slot].gen == gen &&
-           !slots_[slot].cancelled;
+    return slot < slots_.size() && slots_[slot].gen == gen;
   }
   void cancel_slot(std::uint32_t slot, std::uint32_t gen);
 
-  std::vector<Entry> heap_;  // binary heap ordered by Later
+  std::vector<Key> heap_;  // binary min-heap under before()
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::size_t live_ = 0;        // queued, not cancelled
-  std::size_t tombstones_ = 0;  // queued, cancelled, not yet swept
   TieBreak tie_break_ = TieBreak::kFifo;
-  std::uint64_t pending_sig_ = 0;  // XOR of live entries' tags
+  std::uint64_t pending_sig_ = 0;  // XOR of queued entries' tags
   Audit* audit_ = nullptr;
 };
 

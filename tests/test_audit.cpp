@@ -41,7 +41,8 @@ TEST(PendingSignature, XorsTagsInAndOut) {
 
 TEST(PendingSignature, TombstoneSweepDoesNotDoubleCount) {
   sim::Scheduler sched;
-  // Enough cancellations to trigger the >50% tombstone compaction sweep.
+  // Many cancellations, each removing its entry from the queue: every tag
+  // must leave the signature exactly once.
   std::vector<sim::EventHandle> handles;
   for (int i = 0; i < 32; ++i) {
     handles.push_back(sched.schedule_at(10 + i, [] {}));
@@ -51,7 +52,7 @@ TEST(PendingSignature, TombstoneSweepDoesNotDoubleCount) {
   for (auto& h : handles) h.cancel();
   const std::uint64_t after_cancel = sched.pending_signature();
   EXPECT_NE(after_cancel, all);
-  // Force tombstone pruning; the signature must not move again.
+  // Querying the queue must not move the signature again.
   EXPECT_FALSE(sched.empty());
   EXPECT_EQ(sched.pending_signature(), after_cancel);
   keeper.cancel();

@@ -126,7 +126,8 @@ TEST_F(CsmaMacTest, MaxRetriesGivesUp) {
     pkt.payload = std::move(d);
     pkt.src = 1;
     radios_[1]->start_transmission(pkt);
-    sim_.scheduler().schedule_after(channel_->airtime(pkt) + 1, jam);
+    sim_.scheduler().schedule_after(channel_->airtime(pkt) + 1,
+                                    [&jam] { jam(); });
   };
   jam();
   macs_[0]->send(adv());

@@ -200,23 +200,26 @@ BurstRun run_bursts(net::Topology topo, double extent, bool mobile,
   pkt.payload = std::move(d);
   sim::Rng traffic(4243);
   const auto last = static_cast<std::int64_t>(n) - 1;
+  // One hop list per burst, alive until the run below ends.
+  std::vector<std::vector<std::pair<net::NodeId, net::Position>>> hop_lists(
+      static_cast<std::size_t>(bursts));
   for (int burst = 0; burst < bursts; ++burst) {
     const auto t0 = static_cast<sim::Time>(burst) * 100000;
     for (int k = 0; k < 8; ++k) {
       net::Radio* radio = radios[traffic.uniform_int(0, last)].get();
-      sim.scheduler().schedule_at(t0 + k * 500, [radio, pkt] {
+      sim.scheduler().schedule_at(t0 + k * 500, [radio, &pkt] {
         radio->start_transmission(pkt);
       });
     }
     if (!mobile) continue;
-    std::vector<std::pair<net::NodeId, net::Position>> hops;
+    auto& hops = hop_lists[static_cast<std::size_t>(burst)];
     for (std::size_t m = 0; m < n / 100; ++m) {
       const net::Position to{traffic.uniform_real(0.0, extent),
                              traffic.uniform_real(0.0, extent)};
       const auto id = static_cast<net::NodeId>(traffic.uniform_int(0, last));
       hops.emplace_back(id, to);
     }
-    sim.scheduler().schedule_at(t0 + 50000, [&topo, hops] {
+    sim.scheduler().schedule_at(t0 + 50000, [&topo, &hops] {
       for (const auto& [id, to] : hops) topo.set_position(id, to);
     });
   }

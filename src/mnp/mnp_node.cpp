@@ -346,7 +346,7 @@ void MnpNode::enter_advertise(bool reset_interval) {
   adv_count_ = 0;
   adv_seg_ = std::clamp<std::uint16_t>(adv_seg_, 1, rvd_seg_);
   if (adv_seg_ == 0) adv_seg_ = rvd_seg_;
-  forward_vector_ = util::BigBitmap(packets_in(adv_seg_));
+  forward_vector_.reset(packets_in(adv_seg_));
   if (reset_interval || adv_interval_hi_ == 0) {
     adv_interval_hi_ = config_.adv_interval_max;
   }
@@ -472,7 +472,7 @@ void MnpNode::schedule_next_advertisement() {
       if (adv_seg_ < rvd_seg_) {
         // Rule 5: nobody wants this segment; offer the next one.
         ++adv_seg_;
-        forward_vector_ = util::BigBitmap(packets_in(adv_seg_));
+        forward_vector_.reset(packets_in(adv_seg_));
         adv_count_ = 0;
       } else {
         // Stable neighborhood: advertise with reduced frequency.
@@ -597,6 +597,15 @@ void MnpNode::merge_request(const net::DownloadRequestMsg& req) {
   }
 }
 
+bool MnpNode::add_requester(net::NodeId id) {
+  if (std::find(requesters_.begin(), requesters_.end(), id) !=
+      requesters_.end()) {
+    return false;
+  }
+  requesters_.push_back(id);
+  return true;
+}
+
 void MnpNode::handle_download_request(const Packet& pkt,
                                       const net::DownloadRequestMsg& req) {
   if (state_ == State::kForward) {
@@ -614,7 +623,7 @@ void MnpNode::handle_download_request(const Packet& pkt,
   if (req.program_id == program_id_ && req.seg_id >= 1 &&
       req.seg_id < adv_seg_ && req.seg_id <= rvd_seg_) {
     adv_seg_ = req.seg_id;
-    forward_vector_ = util::BigBitmap(packets_in(adv_seg_));
+    forward_vector_.reset(packets_in(adv_seg_));
     req_ctr_ = 0;
     requesters_.clear();
     adv_count_ = 0;
@@ -622,7 +631,7 @@ void MnpNode::handle_download_request(const Packet& pkt,
 
   if (req.dest == node_->id() && req.program_id == program_id_) {
     if (req.seg_id == adv_seg_) {
-      if (requesters_.insert(pkt.src).second && req_ctr_ < 255) {
+      if (add_requester(pkt.src) && req_ctr_ < 255) {
         ++req_ctr_;
         // The neighborhood is actively updating: advertise at full rate.
         adv_interval_hi_ = config_.adv_interval_max;
@@ -632,8 +641,8 @@ void MnpNode::handle_download_request(const Packet& pkt,
                req_ctr_ == 0) {
       // Everyone near us is past adv_seg_; jump forward to what was asked.
       adv_seg_ = req.seg_id;
-      forward_vector_ = util::BigBitmap(packets_in(adv_seg_));
-      if (requesters_.insert(pkt.src).second) req_ctr_ = 1;
+      forward_vector_.reset(packets_in(adv_seg_));
+      if (add_requester(pkt.src)) req_ctr_ = 1;
       merge_request(req);
     }
     return;

@@ -26,8 +26,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "mnp/mnp_config.hpp"
 #include "mnp/program_image.hpp"
@@ -132,6 +132,8 @@ class MnpNode final : public node::Application {
   /// Folds a destined-to-us request into the ForwardVector (handles both
   /// the windowed and the request-all forms).
   void merge_request(const net::DownloadRequestMsg& req);
+  /// Records `id` as a requester of adv_seg_; false if it already was one.
+  bool add_requester(net::NodeId id);
   void store_data_packet(const net::DataMsg& msg);
   void complete_current_segment();
   void pump_forward_queue();
@@ -193,7 +195,7 @@ class MnpNode final : public node::Application {
   // Source side.
   std::uint16_t adv_seg_ = 0;        // segment currently advertised
   std::uint8_t req_ctr_ = 0;
-  std::set<net::NodeId> requesters_;
+  std::vector<net::NodeId> requesters_;  // distinct, unordered
   util::BigBitmap forward_vector_;
   int adv_count_ = 0;
   sim::Time adv_interval_hi_ = 0;    // current (possibly backed-off) max

@@ -258,23 +258,27 @@ Channel::Active& Channel::acquire_active() {
   return *tx;
 }
 
-void Channel::count_collision(NodeId victim) {
-  metrics_.add(m_collisions_, victim);
-  if (observer_) observer_->on_collision(victim, sim_.now());
+void Channel::count_collisions(NodeId victim, std::uint32_t n) {
+  metrics_.add(m_collisions_, victim, n);
+  if (observer_) {
+    for (; n != 0; --n) observer_->on_collision(victim, sim_.now());
+  }
 }
 
 void Channel::count_bulk_overlap() { metrics_.add(m_bulk_overlaps_); }
 
 namespace {
 
-/// True when two ascending id lists share an element.
-bool intersects(const std::vector<NodeId>& a, const std::vector<NodeId>& b) {
+/// True when receptions and an id list, both ascending by id, share an id.
+template <typename Rx>
+bool intersects(const std::vector<Rx>& a, const std::vector<NodeId>& b) {
   auto i = a.begin();
   auto j = b.begin();
   while (i != a.end() && j != b.end()) {
-    if (*i < *j) {
+    const NodeId x = i->id;
+    if (x < *j) {
       ++i;
-    } else if (*j < *i) {
+    } else if (*j < x) {
       ++j;
     } else {
       return true;
@@ -327,30 +331,33 @@ void Channel::enroll_cached(Active& tx) {
   const std::vector<NodeId>& row = cache.neighbors[src];
   const std::vector<double>& success = cache.success[src];
   tx.reached.assign(row.begin(), row.end());
-  tx.candidates.reserve(row.size());
+  // Rows hold ids below the topology size, which listening_ and
+  // listeners_ both cover. The walk takes no branch on listener state:
+  // every entry writes a reception at the cursor, which only a listening
+  // node advances past (so a reception never overtakes its entry).
+  assert(listening_.size() >= topo_.size());
+  tx.receptions.resize(row.size());
+  Reception* const out = tx.receptions.data();
+  std::size_t k = 0;
   for (std::size_t i = 0; i < row.size(); ++i) {
     const NodeId r = row[i];
     Listener& at = listeners_[r];
+    const std::uint32_t live = at.live;
+    const std::uint32_t hit = at.reach != 0;
+    const std::uint32_t listening = listening_[r];
     // A listener reached by two sources decodes neither packet: every
-    // reception still alive here dies now...
-    if (at.live != 0) {
-      for (; at.live != 0; --at.live) count_collision(r);
-      ++at.epoch;
-    }
-    // ...and this one is born dead if another in-flight row holds r.
-    const bool hit = at.reach != 0;
+    // reception still alive here dies now, and this one is born dead if
+    // another in-flight row holds r.
+    at.epoch += live != 0;
+    at.live = listening & (hit ^ 1u);
     ++at.reach;
-    if (r >= listening_.size() || !listening_[r]) continue;
-    tx.candidates.push_back(r);
-    tx.success.push_back(success[i]);
-    tx.corrupted.push_back(hit ? 1 : 0);
-    tx.enrolled.push_back(at.epoch);
-    if (hit) {
-      count_collision(r);
-    } else {
-      ++at.live;
-    }
+    out[k] = Reception{success[i], r, static_cast<std::uint8_t>(hit),
+                       at.epoch};
+    k += listening;
+    const std::uint32_t collisions = live + (listening & hit);
+    if (collisions != 0) count_collisions(r, collisions);
   }
+  tx.receptions.resize(k);
 
   // Concurrent bulk-sender monitor (paper: "at most one sender active in
   // any neighborhood"): two overlapping code transmissions whose sources
@@ -361,7 +368,7 @@ void Channel::enroll_cached(Active& tx) {
     const bool mutual =
         std::binary_search(tx.reached.begin(), tx.reached.end(), other->src) ||
         std::binary_search(other->reached.begin(), other->reached.end(), src);
-    if (mutual || intersects(tx.candidates, other->reached)) {
+    if (mutual || intersects(tx.receptions, other->reached)) {
       count_bulk_overlap();
     }
   }
@@ -373,9 +380,8 @@ void Channel::enroll_oracle(Active& tx) {
   for (NodeId id = 0; id < radios_.size(); ++id) {
     if (id == src || id >= listening_.size() || !listening_[id]) continue;
     if (!links_.interferes(src, id, ps)) continue;
-    tx.candidates.push_back(id);
-    tx.success.push_back(links_.packet_success(src, id, ps));
-    tx.corrupted.push_back(0);
+    tx.receptions.push_back(
+        Reception{links_.packet_success(src, id, ps), id, 0, 0});
   }
 
   // Cross-corruption with every transmission already in flight: a listener
@@ -387,18 +393,16 @@ void Channel::enroll_oracle(Active& tx) {
     const auto tx_reaches = [&](NodeId at) {
       return links_.interferes(src, at, ps);
     };
-    for (std::size_t i = 0; i < tx.candidates.size(); ++i) {
-      const NodeId r = tx.candidates[i];
-      if (!tx.corrupted[i] && other_reaches(r)) {
-        tx.corrupted[i] = 1;
-        count_collision(r);
+    for (Reception& c : tx.receptions) {
+      if (!c.corrupted && other_reaches(c.id)) {
+        c.corrupted = 1;
+        count_collisions(c.id, 1);
       }
     }
-    for (std::size_t i = 0; i < other->candidates.size(); ++i) {
-      const NodeId r = other->candidates[i];
-      if (!other->corrupted[i] && tx_reaches(r)) {
-        other->corrupted[i] = 1;
-        count_collision(r);
+    for (Reception& c : other->receptions) {
+      if (!c.corrupted && tx_reaches(c.id)) {
+        c.corrupted = 1;
+        count_collisions(c.id, 1);
       }
     }
     // Concurrent bulk-sender monitor, as in enroll_cached.
@@ -406,8 +410,8 @@ void Channel::enroll_oracle(Active& tx) {
       const bool mutual = tx_reaches(other->src) || other_reaches(src);
       bool shared_victim = false;
       if (!mutual) {
-        for (const NodeId r : tx.candidates) {
-          if (other_reaches(r)) {
+        for (const Reception& c : tx.receptions) {
+          if (other_reaches(c.id)) {
             shared_victim = true;
             break;
           }
@@ -434,12 +438,12 @@ void Channel::radio_stopped_listening(NodeId id) {
     return;
   }
   for (const auto& tx : active_) {
-    // Candidate lists are ascending, so membership is a binary search.
-    const auto& cand = tx->candidates;
-    const auto it = std::lower_bound(cand.begin(), cand.end(), id);
-    if (it != cand.end() && *it == id) {
-      tx->corrupted[static_cast<std::size_t>(it - cand.begin())] = 1;
-    }
+    // Receptions are ascending by id, so membership is a binary search.
+    auto& rx = tx->receptions;
+    const auto it = std::lower_bound(
+        rx.begin(), rx.end(), id,
+        [](const Reception& c, NodeId v) { return c.id < v; });
+    if (it != rx.end() && it->id == id) it->corrupted = 1;
   }
 }
 
@@ -456,27 +460,28 @@ void Channel::unlink_active(const Active& tx) {
 void Channel::settle_cached(Active& tx) {
   --own_in_flight_[tx.src];
   for (const NodeId r : tx.reached) --listeners_[r].reach;
-  for (std::size_t i = 0; i < tx.candidates.size(); ++i) {
-    if (tx.corrupted[i]) continue;
-    Listener& at = listeners_[tx.candidates[i]];
-    if (at.epoch != tx.enrolled[i]) {
-      tx.corrupted[i] = 1;  // killed while in flight
-    } else {
-      --at.live;
-    }
+  // A live reception whose listener's epoch moved was killed in flight;
+  // every other live one leaves the listener's live count.
+  for (Reception& c : tx.receptions) {
+    Listener& at = listeners_[c.id];
+    const std::uint32_t ok = (c.corrupted ^ 1u) & (at.epoch == c.epoch);
+    at.live -= ok;
+    c.corrupted = static_cast<std::uint8_t>(ok ^ 1u);
   }
 }
 
 void Channel::end_transmission(Active& tx) {
   unlink_active(tx);
   if (params_.neighbor_cache) settle_cached(tx);
-  for (std::size_t i = 0; i < tx.candidates.size(); ++i) {
-    if (tx.corrupted[i]) continue;
-    const NodeId r = tx.candidates[i];
+  for (const Reception& c : tx.receptions) {
+    // Rng::bernoulli answers false without drawing for p <= 0, so the
+    // skip keeps the stream as it was (a NaN still draws).
+    if (c.corrupted || c.success <= 0.0) continue;
+    const NodeId r = c.id;
     if (r >= listening_.size() || !listening_[r]) continue;
     Radio* radio = radios_[r];
     if (!radio) continue;
-    if (!rng_.bernoulli(tx.success[i])) continue;
+    if (!rng_.bernoulli(c.success)) continue;
     metrics_.add(m_delivered_, r);
     if (observer_) observer_->on_deliver(tx.src, r, tx.pkt(), sim_.now());
     // Every receiver reads the one shared immutable frame.
@@ -484,11 +489,8 @@ void Channel::end_transmission(Active& tx) {
   }
   // Recycle the record; its vectors keep their capacity.
   tx.frame.reset();
-  tx.candidates.clear();
-  tx.success.clear();
-  tx.corrupted.clear();
+  tx.receptions.clear();
   tx.reached.clear();
-  tx.enrolled.clear();
   free_records_.push_back(&tx);
 }
 

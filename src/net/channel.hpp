@@ -157,6 +157,15 @@ class Channel {
       double power_scale, NodeId src) const;
 
  private:
+  /// One candidate receiver of a transmission: a node listening when it
+  /// began and within its interference reach.
+  struct Reception {
+    double success;           // decode probability
+    NodeId id;
+    std::uint8_t corrupted;   // 0/1
+    std::uint32_t epoch;      // cached path: Listener::epoch at enrolment
+  };
+
   struct Active {
     NodeId src;
     FramePtr frame;                  // the one shared copy of the packet
@@ -164,14 +173,10 @@ class Channel {
     sim::Time end;
     bool bulk;
     std::size_t index;               // position in active_, for swap-pop
-    std::vector<NodeId> candidates;  // listening-at-start, interfered, ascending
-    std::vector<double> success;     // decode probability, parallel to candidates
-    std::vector<std::uint8_t> corrupted;  // 0/1, parallel to candidates
+    std::vector<Reception> receptions;  // ascending id
     // Cached path only: the row this transmission is counted into
-    // Listener::reach with, and each candidate's Listener::epoch at
-    // enrolment (parallel to candidates).
+    // Listener::reach with.
     std::vector<NodeId> reached;
-    std::vector<std::uint32_t> enrolled;
 
     const Packet& pkt() const { return *frame; }
   };
@@ -252,7 +257,8 @@ class Channel {
   /// corruption flags. Runs before the first delivery, whose handlers may
   /// turn radios off or start new transmissions.
   void settle_cached(Active& tx);
-  void count_collision(NodeId victim);
+  /// Counts `n` collisions at `victim`.
+  void count_collisions(NodeId victim, std::uint32_t n);
   void count_bulk_overlap();
   /// Delivers `tx` at the end of its airtime and recycles its record.
   void end_transmission(Active& tx);

@@ -160,11 +160,20 @@ bool ScenarioEngine::arm(std::string* error) {
 
 bool ScenarioEngine::converged() const {
   if (network_.simulator().now() < last_activity_) return false;
-  for (net::NodeId id = 0; id < network_.size(); ++id) {
-    const node::Node& n = network_.node(id);
-    if (n.is_dead()) continue;
-    const node::Application* app = n.application();
-    if (!app || !app->has_complete_image()) return false;
+  // One cyclic pass starting at the last laggard. Any live node without
+  // the image answers "no", wherever it sits, so starting elsewhere than
+  // node 0 changes which laggard is found, never the answer; "yes" still
+  // needs every node checked in this call. A node that lost its image
+  // behind the start (a reboot without journal) is reached by the wrap.
+  const std::size_t n = network_.size();
+  for (std::size_t i = 0, id = resume_; i < n; ++i) {
+    const node::Node& node = network_.node(static_cast<net::NodeId>(id));
+    const node::Application* app = node.application();
+    if (!node.is_dead() && (!app || !app->has_complete_image())) {
+      resume_ = id;
+      return false;
+    }
+    if (++id == n) id = 0;
   }
   return true;
 }

@@ -14,6 +14,7 @@
 // counted under scenario.* metrics in the network's registry.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -59,6 +60,10 @@ class ScenarioEngine {
 
   /// True when the schedule is exhausted and every node is either dead or
   /// holds the complete image — the scenario-aware run-end predicate.
+  /// The scan resumes at the node that lagged on the previous call, so a
+  /// laggard that still lags answers "no" in O(1); only a full pass
+  /// answers "yes". Worst case O(N) per call; over a run, one check per
+  /// call plus up to N each time the remembered laggard catches up.
   bool converged() const;
 
  private:
@@ -75,6 +80,8 @@ class ScenarioEngine {
   net::NodeId protect_;
   sim::Rng rng_;
   sim::Time last_activity_ = 0;
+  /// Where converged() starts its scan: the node that lagged last time.
+  mutable std::size_t resume_ = 0;
 
   obs::MetricsRegistry& metrics_;
   obs::MetricsRegistry::Counter m_events_;

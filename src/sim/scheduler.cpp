@@ -16,6 +16,7 @@ std::uint32_t Scheduler::push(Time when, const Action& action) {
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
+    heap_pos_.push_back(0);
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
@@ -24,8 +25,9 @@ std::uint32_t Scheduler::push(Time when, const Action& action) {
   s.action = action;
   s.tag = tag;
   pending_sig_ ^= tag;
-  heap_.push_back(Key{when, seq, slot});
-  sift_up(heap_.size() - 1);
+  const Key key{when, seq, slot};
+  heap_.push_back(key);  // grows the heap; sift_up places the key
+  sift_up(heap_.size() - 1, key);
   return slot;
 }
 
@@ -44,8 +46,7 @@ void Scheduler::post_after(Time delay, Action action) {
   push(now_ + delay, action);
 }
 
-void Scheduler::sift_up(std::size_t pos) {
-  const Key key = heap_[pos];
+void Scheduler::sift_up(std::size_t pos, const Key key) {
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 2;
     if (!before(key, heap_[parent])) break;
@@ -55,8 +56,7 @@ void Scheduler::sift_up(std::size_t pos) {
   place(pos, key);
 }
 
-void Scheduler::sift_down(std::size_t pos) {
-  const Key key = heap_[pos];
+void Scheduler::sift_down(std::size_t pos, const Key key) {
   const std::size_t n = heap_.size();
   for (;;) {
     std::size_t child = 2 * pos + 1;
@@ -73,11 +73,10 @@ void Scheduler::remove_at(std::size_t pos) {
   const Key last = heap_.back();
   heap_.pop_back();
   if (pos == heap_.size()) return;  // the removed key was the last one
-  place(pos, last);
   if (pos > 0 && before(last, heap_[(pos - 1) / 2])) {
-    sift_up(pos);
+    sift_up(pos, last);
   } else {
-    sift_down(pos);
+    sift_down(pos, last);
   }
 }
 
@@ -86,7 +85,7 @@ void Scheduler::cancel_slot(std::uint32_t slot, std::uint32_t gen) {
   Slot& s = slots_[slot];
   pending_sig_ ^= s.tag;
   ++s.gen;  // the handle goes stale with the event
-  remove_at(s.pos);
+  remove_at(heap_pos_[slot]);
   free_slots_.push_back(slot);
 }
 
@@ -110,7 +109,9 @@ void Scheduler::fire_next() {
 void Scheduler::set_tie_break(TieBreak tie_break) {
   if (tie_break == tie_break_) return;
   tie_break_ = tie_break;
-  for (std::size_t pos = heap_.size() / 2; pos-- > 0;) sift_down(pos);
+  for (std::size_t pos = heap_.size() / 2; pos-- > 0;) {
+    sift_down(pos, heap_[pos]);
+  }
 }
 
 std::uint64_t Scheduler::run_until(Time until) {

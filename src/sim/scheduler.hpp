@@ -5,15 +5,16 @@
 //
 // The queue never allocates in steady state. Every event, posted or
 // scheduled, occupies a slot of a recycled pool that holds its action (a
-// fixed-size inline callable, never a heap closure), its FNV-1a tag, a
-// generation counter and the index of its key in the heap. The binary heap
-// itself holds only 24-byte trivially copyable keys {when, seq, slot}, so a
-// sift moves three words per level. A handle is {scheduler, slot,
-// generation}; cancel() removes the event's key at its recorded heap index
-// at once, so the heap holds exactly the live pending set and no cancelled
-// event is ever popped. Firing copies the action out and frees the slot
-// before running it: stale handles stay inert and an action may re-arm its
-// own timer.
+// fixed-size inline callable, never a heap closure), its FNV-1a tag and a
+// generation counter; a compact array beside the pool holds the index of
+// each slot's key in the heap. The binary heap itself holds only 24-byte
+// trivially copyable keys {when, seq, slot}, and a sift carries the moving
+// key through a hole, storing it once, so each level moves one key. A
+// handle is {scheduler, slot, generation}; cancel() removes the event's
+// key at its recorded heap index at once, so the heap holds exactly the
+// live pending set and no cancelled event is ever popped. Firing copies
+// the action out and frees the slot before running it: stale handles stay
+// inert and an action may re-arm its own timer.
 //
 // Determinism auditing (DESIGN.md section 12): the scheduler maintains an
 // incremental XOR signature of the live pending set (one FNV-1a tag per
@@ -179,7 +180,6 @@ class Scheduler {
     Action action;
     std::uint64_t tag = 0;  // FNV-1a of (when, seq); XORed into pending_sig_
     std::uint32_t gen = 0;
-    std::uint32_t pos = 0;  // index of the tenant's key in heap_
   };
 
   /// Queues `action` and returns its slot.
@@ -188,12 +188,14 @@ class Scheduler {
   void fire_next();
   /// Drops the key at heap index `pos`, restoring the heap around it.
   void remove_at(std::size_t pos);
-  void sift_up(std::size_t pos);
-  void sift_down(std::size_t pos);
-  /// Stores `key` at heap index `pos` and records the index in its slot.
+  /// Moves the hole at heap index `pos` up (or down) past every key `key`
+  /// runs before (after), then stores `key` in it.
+  void sift_up(std::size_t pos, Key key);
+  void sift_down(std::size_t pos, Key key);
+  /// Stores `key` at heap index `pos` and records the index for its slot.
   void place(std::size_t pos, const Key& key) {
     heap_[pos] = key;
-    slots_[key.slot].pos = static_cast<std::uint32_t>(pos);
+    heap_pos_[key.slot] = static_cast<std::uint32_t>(pos);
   }
   /// True when `a` runs before `b` under the active tie-break.
   bool before(const Key& a, const Key& b) const {
@@ -209,6 +211,7 @@ class Scheduler {
 
   std::vector<Key> heap_;  // binary min-heap under before()
   std::vector<Slot> slots_;
+  std::vector<std::uint32_t> heap_pos_;  // per slot: its key's index in heap_
   std::vector<std::uint32_t> free_slots_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;

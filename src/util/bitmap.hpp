@@ -129,6 +129,14 @@ class BigBitmap {
     return b;
   }
 
+  /// Resizes to `size` bits, all cleared, reusing the word buffer: the
+  /// same value as BigBitmap(size), without an allocation once the buffer
+  /// has held that many words.
+  void reset(std::size_t size) {
+    size_ = size;
+    words_.assign((size + 63) / 64, 0);
+  }
+
   std::size_t size() const { return size_; }
   bool test(std::size_t i) const {
     return i < size_ && ((words_[i / 64] >> (i % 64)) & 1u);

@@ -1,4 +1,5 @@
-// Unit tests for util::Bitmap (MNP's MissingVector / ForwardVector).
+// Unit tests for util::Bitmap (MNP's MissingVector / ForwardVector) and
+// util::BigBitmap (the large-segment variant).
 #include <gtest/gtest.h>
 
 #include "util/bitmap.hpp"
@@ -141,6 +142,37 @@ TEST_P(BitmapWidthTest, EachBitIsIndependent) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, BitmapWidthTest,
                          ::testing::Values(0, 1, 7, 8, 9, 31, 64, 127, 128));
+
+// reset() reuses the words it has: shrinking and growing both leave a
+// bitmap equal to a fresh one of the new size, every bit clear.
+TEST(BigBitmap, ResetShrinksAndGrowsWithEveryBitClear) {
+  BigBitmap b = BigBitmap::all_set(300);
+  ASSERT_EQ(b.count(), 300u);
+  const auto all_clear = [](const BigBitmap& x, std::size_t size) {
+    EXPECT_EQ(x.size(), size);
+    EXPECT_EQ(x.count(), 0u);
+    EXPECT_TRUE(x.none());
+    EXPECT_EQ(x.find_first_set(), size);
+    for (std::size_t i = 0; i < size + 70; ++i) {
+      EXPECT_FALSE(x.test(i)) << "bit " << i << " of " << size;
+    }
+  };
+  b.reset(70);  // shrink
+  all_clear(b, 70);
+  b.set(69);
+  b.set(3);
+  EXPECT_EQ(b.count(), 2u);
+  b.reset(500);  // grow past the old size
+  all_clear(b, 500);
+  b.set_all();
+  EXPECT_EQ(b.count(), 500u);
+  b.reset(128);
+  all_clear(b, 128);
+  b.set(127);
+  EXPECT_EQ(b.find_first_set(), 127u);
+  b.reset(0);
+  all_clear(b, 0);
+}
 
 }  // namespace
 }  // namespace mnp::util

@@ -1,20 +1,27 @@
 // Scenario engine: builder/parser round-trips, link-model decoration,
-// fault injection against live networks, and the determinism contract
-// (identical replays, --jobs-independent sweeps, the committed example).
+// fault injection against live networks, the run-end predicate and the
+// determinism contract (identical replays, --jobs-independent sweeps, the
+// committed example).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "harness/observe.hpp"
 #include "harness/sweep.hpp"
+#include "node/application.hpp"
+#include "node/network.hpp"
 #include "obs/json_writer.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/scenario_engine.hpp"
 #include "scenario/scenario_link_model.hpp"
 #include "scenario/scenario_parser.hpp"
+#include "sim/rng.hpp"
+#include "sim/simulator.hpp"
 
 namespace mnp {
 namespace {
@@ -333,6 +340,164 @@ TEST(ScenarioEngine, SweepIsJobCountIndependentUnderChurn) {
   EXPECT_EQ(sequential.first, parallel.first);
   EXPECT_EQ(sequential.second, parallel.second);
   EXPECT_NE(sequential.second.find("scenario.kills"), std::string::npos);
+}
+
+// --- run-end predicate -----------------------------------------------------
+
+/// Counts has_complete_image() queries and remembers the node last asked.
+struct ImageProbe {
+  std::uint64_t calls = 0;
+  net::NodeId last = net::kNoNode;
+};
+
+/// An application whose image is a flag the test sets. It lives in RAM
+/// only, so a reboot loses it (a protocol rebooting without a journal).
+class FlagApp : public node::Application {
+ public:
+  FlagApp(net::NodeId id, ImageProbe& probe) : id_(id), probe_(probe) {}
+  void start(node::Node&) override {}
+  void on_packet(const net::Packet&) override {}
+  bool has_complete_image() const override {
+    ++probe_.calls;
+    probe_.last = id_;
+    return complete;
+  }
+  void reset_for_reboot() override { complete = false; }
+
+  bool complete = false;
+
+ private:
+  net::NodeId id_;
+  ImageProbe& probe_;
+};
+
+/// A row of FlagApp nodes under an armed empty scenario, so converged()
+/// answers from the nodes alone.
+struct FlagNetwork {
+  explicit FlagNetwork(std::size_t n)
+      : network(sim, net::Topology::grid(1, n, 10.0),
+                [](const net::Topology& t) {
+                  return std::make_unique<net::DiskLinkModel>(t, 25.0);
+                }),
+        engine(empty, network, nullptr) {
+    for (net::NodeId id = 0; id < n; ++id) {
+      auto app = std::make_unique<FlagApp>(id, probe);
+      apps.push_back(app.get());
+      network.node(id).set_application(std::move(app));
+    }
+    std::string error;
+    EXPECT_TRUE(engine.arm(&error)) << error;
+  }
+
+  /// The predicate's meaning as a plain full scan.
+  bool all_live_complete() const {
+    for (net::NodeId id = 0; id < apps.size(); ++id) {
+      if (!network.node(id).is_dead() && !apps[id]->complete) return false;
+    }
+    return true;
+  }
+
+  sim::Simulator sim{1};
+  Scenario empty;
+  ImageProbe probe;
+  node::Network network;
+  scenario::ScenarioEngine engine;
+  std::vector<FlagApp*> apps;
+};
+
+// converged() resumes its scan at the last laggard. Seeded completions,
+// regressions, kills and reboots, a share of them aimed at nodes the scan
+// has already passed, must leave its answer equal to a full scan's after
+// every operation.
+TEST(ScenarioEngine, ConvergedMatchesAFullScanUnderRandomOperations) {
+  constexpr std::size_t kNodes = 24;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    FlagNetwork f(kNodes);
+    sim::Rng rng(seed);
+    const auto any_node = [&rng] {
+      return static_cast<net::NodeId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(kNodes) - 1));
+    };
+    // Loses node `id`'s image: a live node forgets it, a dead one reboots.
+    const auto regress = [&f](net::NodeId id) {
+      node::Node& n = f.network.node(id);
+      if (n.is_dead()) {
+        n.reboot();
+      } else {
+        f.apps[id]->complete = false;
+      }
+    };
+    std::size_t yes = 0;
+    std::size_t no = 0;
+    std::size_t behind = 0;
+    bool last_no = false;
+    for (int op = 0; op < 4000; ++op) {
+      const double u = rng.uniform_real(0.0, 1.0);
+      if (u < 0.55) {
+        // Complete a random live laggard, if there is one.
+        std::vector<net::NodeId> lagging;
+        for (net::NodeId id = 0; id < kNodes; ++id) {
+          if (!f.network.node(id).is_dead() && !f.apps[id]->complete) {
+            lagging.push_back(id);
+          }
+        }
+        if (!lagging.empty()) {
+          f.apps[lagging[static_cast<std::size_t>(rng.uniform_int(
+                     0, static_cast<std::int64_t>(lagging.size()) - 1))]]
+              ->complete = true;
+        }
+      } else if (u < 0.70) {
+        // After a "no" the probe names the laggard the scan resumes at;
+        // regress a node before it.
+        if (last_no && f.probe.last > 0) {
+          regress(static_cast<net::NodeId>(
+              rng.uniform_int(0, f.probe.last - 1)));
+          ++behind;
+        }
+      } else if (u < 0.80) {
+        regress(any_node());
+      } else if (u < 0.90) {
+        f.network.node(any_node()).kill();
+      } else {
+        f.network.node(any_node()).reboot();  // no-op on a live node
+      }
+      const bool expected = f.all_live_complete();
+      const bool got = f.engine.converged();
+      ASSERT_EQ(got, expected) << "seed " << seed << ", operation " << op;
+      if (got) {
+        ++yes;
+      } else {
+        ++no;
+      }
+      last_no = !got;
+    }
+    // Both answers, and regressions behind the resume point, all occur.
+    EXPECT_GT(yes, 200u) << "seed " << seed;
+    EXPECT_GT(no, 200u) << "seed " << seed;
+    EXPECT_GT(behind, 100u) << "seed " << seed;
+  }
+}
+
+// The work bound. Nodes complete in ascending id order with K calls
+// between completions: each call costs one image query, each catch-up one
+// more, and the final "yes" one full pass, so the total stays within calls
+// + 2N. A scan that restarts at node 0 makes about K·N²/2.
+TEST(ScenarioEngine, ConvergedQueriesAtMostCallsPlusTwiceTheNodes) {
+  constexpr std::size_t kNodes = 40;
+  constexpr int kCallsBetween = 25;
+  FlagNetwork f(kNodes);
+  std::uint64_t calls = 0;
+  for (net::NodeId id = 0; id < kNodes; ++id) {
+    for (int k = 0; k < kCallsBetween; ++k) {
+      EXPECT_FALSE(f.engine.converged());
+      ++calls;
+    }
+    f.apps[id]->complete = true;
+  }
+  EXPECT_TRUE(f.engine.converged());
+  ++calls;
+  EXPECT_LE(f.probe.calls, calls + 2 * kNodes)
+      << f.probe.calls << " image queries over " << calls << " calls";
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // mnp_paper: the paper's evaluation as one registry of claims.
 //
-// Every table, figure and ablation of DESIGN.md section 3 is one Claim,
-// keyed by its experiment id: the fixed-seed runs behind it, a renderer
-// printing the figure's rows, and a predicate stating EXPERIMENTS.md's
-// verdict on those runs. Claims EXPERIMENTS.md marks as reproduced are
-// gated: a failing one makes the binary exit 1, and ctest runs each id as
-// one test under the `claims` label. The two documented non-reproductions
-// are reported: they print but never fail.
+// Every table, figure, ablation and comparison of DESIGN.md section 3 is
+// one Claim, keyed by its experiment id: the fixed-seed runs behind it, a
+// renderer printing the figure's rows, and a predicate stating
+// EXPERIMENTS.md's verdict on those runs. Claims EXPERIMENTS.md marks as
+// reproduced are gated: a failing one makes the binary exit 1, and ctest
+// runs each id as one test under the `claims` label. The two documented
+// non-reproductions are reported: they print but never fail.
 //
 //   mnp_paper [ID...] [--trace-out PATH] [--metrics-out PATH] [--audit-out PATH]
 //
@@ -874,6 +874,78 @@ Verdict judge_a6(const Outcome& o) {
           fmt("%zu/%zu seeds complete", s.fully_completed_runs, s.runs)};
 }
 
+// ---- NC: coded vs uncoded dissemination under link loss ---------------------
+/// Disk links whose success is scaled by `degrade` for the whole run, plus a
+/// crash or a move at 30 s. Only the pure-loss cases are judged.
+struct LossCase {
+  const char* name;
+  double degrade;  // link success multiplier (0.8 => 20% loss)
+  bool churn, mobility;
+  bool judged() const { return !churn && !mobility; }
+};
+
+const LossCase kLossCases[] = {
+    {"loss20", 0.8, false, false},
+    {"loss40", 0.6, false, false},
+    {"churn", 0.8, true, false},
+    {"mobility", 0.8, false, true},
+};
+
+/// Each case with MNP, then with NCast.
+void run_nc(Session& s) {
+  for (const LossCase& c : kLossCases) {
+    for (auto protocol : {harness::Protocol::kMnp, harness::Protocol::kNcast}) {
+      ExperimentConfig cfg = grid(4, 4, 2, 1);
+      cfg.protocol = protocol;
+      cfg.range_ft = 25.0;
+      cfg.empirical_links = false;  // the loss is exactly the degrade factor
+      cfg.max_sim_time = sim::hours(4);
+      scenario::ScenarioBuilder b;
+      b.degrade(sim::msec(1), sim::hours(4), c.degrade);
+      if (c.churn) b.kill(sim::sec(30), 5, /*down_for=*/sim::sec(60));
+      if (c.mobility) b.move(sim::sec(30), 15, 5.0, 5.0, /*over=*/sim::sec(30));
+      cfg.scenario = b.build(c.name);
+      s.run(cfg, c.name);
+    }
+  }
+}
+
+bool all_verified(const RunResult& r) {
+  return r.all_completed && r.verified_count() == r.nodes.size();
+}
+
+void render_nc(const Outcome& o) {
+  std::cout << "=== Coded vs uncoded dissemination under link loss, 4x4 grid, "
+               "2 segments ===\n\n";
+  std::printf("%-9s %5s %-6s %9s %10s %14s %9s\n", "case", "loss", "proto", "messages",
+              "msgs/node", "completion(s)", "verified");
+  for (std::size_t i = 0; i < o.runs.size(); ++i) {
+    const Run& run = o.runs[i];
+    std::printf("%-9s %4.0f%% %-6s %9llu %10.1f %14.1f %9s\n", run.label,
+                100 * (1 - kLossCases[i / 2].degrade), harness::protocol_name(run.cfg.protocol),
+                ull(run.r.transmissions), run.r.avg_messages_sent(), completion_s(run.r),
+                all_verified(run.r) ? "yes" : "no");
+  }
+}
+
+Verdict judge_nc(const Outcome& o) {
+  bool holds = true;
+  std::string judged, not_judged;
+  for (std::size_t i = 0; i + 1 < o.runs.size(); i += 2) {  // MNP, then NCast
+    const LossCase& c = kLossCases[i / 2];
+    const RunResult& mnp_r = o.runs[i].r;
+    const RunResult& ncast_r = o.runs[i + 1].r;
+    if (c.judged()) {
+      holds = holds && all_verified(mnp_r) && all_verified(ncast_r) &&
+              ncast_r.transmissions < mnp_r.transmissions;
+    }
+    std::string& out = c.judged() ? judged : not_judged;
+    out += fmt("%s%s %llu vs %llu", out.empty() ? "" : ", ", c.name,
+               ull(mnp_r.transmissions), ull(ncast_r.transmissions));
+  }
+  return {holds, "MNP vs NCast msgs: " + judged + "; not judged: " + not_judged};
+}
+
 // ---- the registry -----------------------------------------------------------
 const Claim kClaims[] = {
     {"t1", run_t1, render_t1, judge_t1, kGated,
@@ -912,6 +984,8 @@ const Claim kClaims[] = {
      "pre-wave duty cycling cuts initial idle and ART at < 10% completion cost"},
     {"a6", run_a6, render_a6, judge_a6, kGated,
      "every seed of the 10x10 run completes"},
+    {"nc", run_nc, render_nc, judge_nc, kGated,
+     "NCast completes byte-exact with fewer messages than MNP at 20% and 40% link loss"},
 };
 
 int usage(const char* argv0) {

@@ -1,7 +1,7 @@
 // Protocol trace: attach the event log to a small dissemination and print
 // one node's life — every state transition of the paper's Fig.-4 machine,
 // plus its segment/image completions. Pass a node id to inspect (default:
-// the far corner).
+// the far corner). Exits 1 when the dissemination does not complete.
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -38,10 +38,11 @@ int main(int argc, char** argv) {
                 : std::make_unique<core::MnpNode>(cfg));
   }
   network.boot_all();
-  sim.run_until_condition(sim::hours(1),
-                          [&] { return network.stats().all_completed(); });
+  const bool completed = sim.run_until_condition(
+      sim::hours(1), [&] { return network.stats().all_completed(); });
 
-  std::cout << "dissemination finished at " << sim::format_time(sim.now())
+  std::cout << "dissemination " << (completed ? "finished" : "incomplete")
+            << " at " << sim::format_time(sim.now())
             << "; log holds " << log.size() << " events (" << log.dropped()
             << " evicted)\n\n";
   std::cout << "event counts:\n";
@@ -58,5 +59,5 @@ int main(int argc, char** argv) {
               << trace::to_string(e.kind)
               << (e.detail.empty() ? "" : "  " + e.detail) << "\n";
   }
-  return 0;
+  return completed ? 0 : 1;
 }

@@ -1,6 +1,8 @@
 #include "net/frame.hpp"
 
+#include <concepts>
 #include <utility>
+#include <variant>
 
 namespace mnp::net {
 namespace detail {
@@ -12,22 +14,20 @@ FramePoolState::~FramePoolState() {
 namespace {
 
 /// Steals the payload buffer's capacity out of a dying frame so the next
-/// acquire_payload() reuses it instead of allocating.
+/// acquire_payload() reuses it instead of allocating. Every message type
+/// with a `payload` byte vector qualifies, so a new one cannot be missed.
 void reclaim_payload(FramePoolState& state, Packet& pkt) {
-  std::vector<std::uint8_t>* payload = nullptr;
-  if (auto* d = std::get_if<DataMsg>(&pkt.payload)) {
-    payload = &d->payload;
-  } else if (auto* d = std::get_if<DelugeDataMsg>(&pkt.payload)) {
-    payload = &d->payload;
-  } else if (auto* d = std::get_if<MoapDataMsg>(&pkt.payload)) {
-    payload = &d->payload;
-  } else if (auto* d = std::get_if<XnpDataMsg>(&pkt.payload)) {
-    payload = &d->payload;
-  }
-  if (payload != nullptr && payload->capacity() > 0) {
-    payload->clear();
-    state.free_payloads.push_back(std::move(*payload));
-  }
+  std::visit(
+      [&state](auto& msg) {
+        using Bytes = std::vector<std::uint8_t>;
+        if constexpr (requires { { msg.payload } -> std::same_as<Bytes&>; }) {
+          if (msg.payload.capacity() > 0) {
+            msg.payload.clear();
+            state.free_payloads.push_back(std::move(msg.payload));
+          }
+        }
+      },
+      pkt.payload);
 }
 
 }  // namespace

@@ -12,10 +12,11 @@
 // The pool recycles two things in steady state:
 //  * frame nodes — a released frame goes back on a free list instead of
 //    the heap, so the millionth transmission allocates nothing;
-//  * DataMsg-family payload buffers — segment streaming acquires its
-//    payload vectors from the pool and the pool steals the capacity back
-//    when the frame dies, so a 128-packet segment recycles a handful of
-//    buffers instead of allocating 128 vectors per segment per hop.
+//  * payload buffers — every message carrying a `payload` byte vector
+//    (each protocol's data packets, NCast's coded packets) acquires it
+//    from the pool and the pool steals the capacity back when the frame
+//    dies, so a 128-packet segment recycles a handful of buffers instead
+//    of allocating 128 vectors per segment per hop.
 //
 // Ownership rules (see DESIGN.md section 7): a receiver may keep a copy of
 // the FramePtr it was delivered for as long as it likes — the frame stays
@@ -129,8 +130,8 @@ class FramePool {
   [[nodiscard]] FramePtr adopt(Packet&& pkt);
 
   /// An empty byte buffer whose capacity was stolen from a dead frame's
-  /// payload whenever possible. Fill it and move it into a DataMsg-family
-  /// payload; the pool gets the capacity back when that frame dies.
+  /// payload whenever possible. Fill it and move it into a message's
+  /// `payload`; the pool gets the capacity back when that frame dies.
   [[nodiscard]] std::vector<std::uint8_t> acquire_payload();
 
   // --- introspection ------------------------------------------------------

@@ -109,7 +109,7 @@ RowFn resolve(Kernel k) {
   return addmul_row_tables;
 }
 
-// Dispatch state. Written only by set_kernel (tests/benches); atomic with
+// Dispatch state. Written only by set_kernel (tests); atomic with
 // relaxed ordering (free on x86) so a concurrent run_experiment — the
 // fleet service runs many on independent threads — never races a kernel
 // flip. The coded rows themselves are identical under either kernel.

@@ -17,8 +17,7 @@
 // per-coefficient nibble tables are built once at static initialization,
 // and the row kernels touch only caller-owned buffers. Determinism is
 // trivial (pure functions of their inputs), but the dispatch is still
-// overridable (set_kernel) so tests can pin SIMD == scalar and benches
-// can measure both sides honestly.
+// overridable (set_kernel) so tests can pin SIMD == scalar.
 #pragma once
 
 #include <cstddef>
@@ -54,8 +53,7 @@ enum class Kernel : std::uint8_t { kAuto, kScalar, kSimd };
 void set_kernel(Kernel k);
 
 /// The implementation addmul_row currently dispatches to: "ssse3" or
-/// "scalar". Benches embed it in BENCH_nc.json; tests assert the forced
-/// paths agree.
+/// "scalar". Tests assert the forced paths and what an NCast run used.
 const char* kernel_name();
 
 /// True when this build+CPU can run the SSSE3 path at all (false on

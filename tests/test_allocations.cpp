@@ -107,6 +107,33 @@ TEST(Allocations, MnpRunMakesUnderATenthOfAnAllocationPerTransmission) {
                          << result.transmissions << " transmissions";
 }
 
+// Deluge, MOAP and NCast on the same run. Each fills its data or coded
+// packets from the frame pool's recycled payload buffers; while the pool
+// took back every payload type but NCast's coded packets, NCast made about
+// 0.79 allocations per transmission.
+TEST(Allocations, BaselineRunsMakeUnderATenthOfAnAllocationPerTransmission) {
+  for (const auto protocol : {harness::Protocol::kDeluge, harness::Protocol::kMoap,
+                              harness::Protocol::kNcast}) {
+    SCOPED_TRACE(harness::protocol_name(protocol));
+    harness::ExperimentConfig cfg;
+    cfg.protocol = protocol;
+    cfg.rows = 10;
+    cfg.cols = 10;
+    cfg.program_bytes = 5 * 128 * 22;
+    cfg.seed = 1;
+    cfg.empirical_links = true;
+    harness::RunResult result;
+    const std::uint64_t allocs =
+        allocations_in([&] { result = harness::run_experiment(cfg); });
+    ASSERT_TRUE(result.all_completed);
+    ASSERT_GT(result.transmissions, 0u);
+    const double per_tx = static_cast<double>(allocs) /
+                          static_cast<double>(result.transmissions);
+    EXPECT_LT(per_tx, 0.1) << allocs << " allocations over "
+                           << result.transmissions << " transmissions";
+  }
+}
+
 // The event queue itself: once its heap and slot pool have grown to the
 // peak, 10^5 posts of a capture as large as an action holds allocate
 // nothing.

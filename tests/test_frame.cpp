@@ -59,14 +59,17 @@ TEST(FramePool, SteadyStateStopsAllocating) {
   EXPECT_EQ(pool.pooled_nodes(), 1u);
 }
 
-TEST(FramePool, ReclaimsDataPayloadCapacity) {
-  FramePool pool;
+/// A frame of message type `Msg` whose payload came from the pool; when it
+/// dies, the pool must get the buffer's capacity back.
+template <typename Msg>
+void expect_payload_reclaimed(FramePool& pool) {
+  Msg msg;
+  msg.payload = pool.acquire_payload();
+  msg.payload.assign(64, 0xAB);
+  Packet pkt;
+  pkt.payload = std::move(msg);
+  SCOPED_TRACE(to_string(pkt.type()));
   {
-    Packet pkt;
-    DataMsg d;
-    d.payload = pool.acquire_payload();  // empty: pool starts cold
-    d.payload.assign(64, 0xAB);
-    pkt.payload = std::move(d);
     FramePtr f = pool.adopt(std::move(pkt));
   }  // frame dies; the 64-byte capacity goes back to the pool
   EXPECT_EQ(pool.pooled_payloads(), 1u);
@@ -75,6 +78,17 @@ TEST(FramePool, ReclaimsDataPayloadCapacity) {
   EXPECT_TRUE(buf.empty());
   EXPECT_GE(buf.capacity(), 64u);  // recycled, not freshly allocated
   EXPECT_EQ(pool.pooled_payloads(), 0u);
+}
+
+// Every message type that carries a payload byte vector, each protocol's
+// data packet and NCast's coded packet.
+TEST(FramePool, ReclaimsDataPayloadCapacity) {
+  FramePool pool;
+  expect_payload_reclaimed<DataMsg>(pool);
+  expect_payload_reclaimed<DelugeDataMsg>(pool);
+  expect_payload_reclaimed<MoapDataMsg>(pool);
+  expect_payload_reclaimed<XnpDataMsg>(pool);
+  expect_payload_reclaimed<NcastCodedMsg>(pool);
 }
 
 // The same through the channel: 2,001 data broadcasts from node 450 of a

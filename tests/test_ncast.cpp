@@ -274,6 +274,11 @@ TEST(NcastHarness, ConvergesByteExactThroughTheHarness) {
   EXPECT_TRUE(r.all_completed)
       << "completed " << r.completed_count << "/" << r.nodes.size();
   EXPECT_EQ(r.verified_count(), r.nodes.size());
+  // Row ops dispatch through one global kernel pointer that only
+  // set_kernel writes: on an SSSE3 host no row op of the run went scalar.
+  if (util::gf256::simd_available()) {
+    EXPECT_STREQ(util::gf256::kernel_name(), "ssse3");
+  }
 }
 
 // ---------------------------------------------------------------------------

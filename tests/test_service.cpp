@@ -6,8 +6,10 @@
 // on: stored metrics bytes equal a fresh one-shot simulation's export.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -39,6 +41,18 @@ harness::ExperimentConfig small_config() {
     EXPECT_TRUE(harness::apply_config_option(cfg, key, value, &error)) << error;
   }
   return cfg;
+}
+
+/// The metrics bytes of a CLI-style observed one-shot run of kSmallRun at
+/// `seed`: what the server must store and serve for the same manifest.
+std::string one_shot_manifest(std::uint64_t seed) {
+  harness::ExperimentConfig cfg = small_config();
+  cfg.seed = seed;
+  harness::Observation observation;
+  (void)harness::run_experiment(cfg, &observation);
+  std::ostringstream manifest;
+  harness::write_run_manifest(manifest, cfg, seed, 1, observation);
+  return manifest.str();
 }
 
 // --- JSON reader --------------------------------------------------------
@@ -372,13 +386,7 @@ TEST_F(FleetHttpTest, DedupServesBytesIdenticalToFreshSimulation) {
     ASSERT_EQ(record.state, service::RunState::kDone) << record.error;
 
     // Local reference: same config, CLI-style observed execution.
-    harness::ExperimentConfig cfg = small_config();
-    cfg.seed = seed;
-    harness::Observation observation;
-    (void)harness::run_experiment(cfg, &observation);
-    std::ostringstream reference;
-    harness::write_run_manifest(reference, cfg, seed, 1, observation);
-    EXPECT_EQ(record.metrics_json, reference.str()) << "seed " << seed;
+    EXPECT_EQ(record.metrics_json, one_shot_manifest(seed)) << "seed " << seed;
 
     // The HTTP surface serves those same bytes.
     const auto metrics = get("/runs/" + std::to_string(id) + "/metrics");
@@ -397,6 +405,102 @@ TEST_F(FleetHttpTest, DedupServesBytesIdenticalToFreshSimulation) {
     EXPECT_TRUE(run.find("dedup")->boolean);
     EXPECT_EQ(run.find("id")->number, runs->items[i].find("id")->number);
   }
+}
+
+/// (id, dedup) of every run a POST /runs response lists.
+std::vector<std::pair<std::uint64_t, bool>> listed_runs(
+    const std::string& body) {
+  std::vector<std::pair<std::uint64_t, bool>> out;
+  const auto parsed = service::parse_json(body);
+  const auto* runs = parsed.ok ? parsed.value.find("runs") : nullptr;
+  if (runs == nullptr) return out;
+  for (const auto& run : runs->items) {
+    const auto* id = run.find("id");
+    const auto* dedup = run.find("dedup");
+    if (id == nullptr || dedup == nullptr) return {};
+    out.emplace_back(static_cast<std::uint64_t>(id->number), dedup->boolean);
+  }
+  return out;
+}
+
+// Concurrency changes no byte: client threads submit distinct seeds to the
+// one server at once, poll their runs to completion and fetch the
+// manifests, and every body equals a sequential one-shot run's. Then every
+// client resubmits, and a dedup hit simulates nothing: each run comes back
+// on its old id, nothing is queued and the executed-run count stays put.
+TEST_F(FleetHttpTest, ConcurrentClientsGetOneShotBytesAndResubmitsDedup) {
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kSeedsPerClient = 4;
+  constexpr std::size_t kRuns = kClients * kSeedsPerClient;
+  std::vector<std::vector<std::uint64_t>> seeds(kClients);
+  std::vector<std::string> bodies;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    for (std::size_t i = 0; i < kSeedsPerClient; ++i) {
+      seeds[c].push_back(100 + c * kSeedsPerClient + i);
+    }
+    bodies.push_back(service::run_request_json(kSmallRun, "", seeds[c]));
+  }
+  const auto each_client = [](const auto& client) {
+    std::vector<std::thread> threads;
+    for (std::size_t c = 0; c < kClients; ++c) threads.emplace_back(client, c);
+    for (std::thread& t : threads) t.join();
+  };
+  const auto terminal = [this](std::uint64_t id) {
+    const auto status =
+        service::parse_json(get("/runs/" + std::to_string(id)).body);
+    const auto* state = status.ok ? status.value.find("state") : nullptr;
+    return state != nullptr &&
+           (state->string == "done" || state->string == "failed");
+  };
+
+  std::vector<std::vector<std::pair<std::uint64_t, bool>>> first(kClients);
+  std::vector<std::vector<std::string>> fetched(kClients);
+  each_client([&](std::size_t c) {
+    first[c] = listed_runs(post("/runs", bodies[c]).body);
+    for (const auto& [id, dedup] : first[c]) {
+      for (int poll = 0; poll < 6000 && !terminal(id); ++poll) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      fetched[c].push_back(
+          get("/runs/" + std::to_string(id) + "/metrics").body);
+    }
+  });
+  for (std::size_t c = 0; c < kClients; ++c) {
+    ASSERT_EQ(first[c].size(), kSeedsPerClient) << "client " << c;
+    ASSERT_EQ(fetched[c].size(), kSeedsPerClient) << "client " << c;
+    for (std::size_t i = 0; i < kSeedsPerClient; ++i) {
+      const std::uint64_t seed = seeds[c][i];
+      EXPECT_FALSE(first[c][i].second) << "seed " << seed;
+      EXPECT_EQ(fetched[c][i], one_shot_manifest(seed)) << "seed " << seed;
+    }
+  }
+
+  const auto self_metric = [this](const char* key) {
+    const auto parsed = service::parse_json(get("/metricsz").body);
+    const auto* n = parsed.ok ? parsed.value.find(key) : nullptr;
+    return n != nullptr ? n->number : -1.0;
+  };
+  // A worker counts a run just after storing it, so the count may trail
+  // the last "done" by a moment.
+  for (int poll = 0; poll < 500 && self_metric("runs_executed") < kRuns;
+       ++poll) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(self_metric("runs_executed"), kRuns);
+
+  std::vector<std::vector<std::pair<std::uint64_t, bool>>> again(kClients);
+  each_client([&](std::size_t c) {
+    again[c] = listed_runs(post("/runs", bodies[c]).body);
+  });
+  for (std::size_t c = 0; c < kClients; ++c) {
+    ASSERT_EQ(again[c].size(), kSeedsPerClient) << "client " << c;
+    for (std::size_t i = 0; i < kSeedsPerClient; ++i) {
+      EXPECT_TRUE(again[c][i].second) << "seed " << seeds[c][i];
+      EXPECT_EQ(again[c][i].first, first[c][i].first) << "seed " << seeds[c][i];
+    }
+  }
+  EXPECT_EQ(self_metric("queue_depth"), 0.0);
+  EXPECT_EQ(self_metric("runs_executed"), kRuns);
 }
 
 TEST_F(FleetHttpTest, StatusAndStreamedMetricsEndWithTheManifest) {

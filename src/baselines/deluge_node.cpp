@@ -34,9 +34,8 @@ void DelugeNode::start(node::Node& node) {
   node_->radio_on();  // Deluge keeps the radio on for the whole run
   if (image_) {
     version_ = image_->id();
-    program_bytes_ = static_cast<std::uint32_t>(image_->total_bytes());
-    known_pages_ = image_->num_segments();
-    complete_pages_ = known_pages_;
+    layout_ = image_->layout();
+    complete_pages_ = layout_.units();
     node_->stats().on_completed(node_->id(), node_->now());
   } else if (recover_journal() && has_complete_image()) {
     node_->stats().on_completed(node_->id(), node_->now());
@@ -46,21 +45,12 @@ void DelugeNode::start(node::Node& node) {
 
 bool DelugeNode::recover_journal() {
   if (!config_.journal_progress) return false;
-  boot::ProgressJournal journal(node_->eeprom());
-  auto rec = journal.recover();
-  if (!rec || rec->units.empty()) return false;
-  const std::size_t page_bytes =
-      static_cast<std::size_t>(config_.packets_per_page) * config_.payload_bytes;
+  const auto rec = boot::ProgressJournal(node_->eeprom()).recover();
+  if (!rec) return false;
   version_ = rec->program_id;
-  program_bytes_ = rec->program_bytes;
-  known_pages_ = static_cast<std::uint16_t>(
-      (rec->program_bytes + page_bytes - 1) / page_bytes);
-  // Pages complete strictly in order; the journal holds the prefix 1..k.
-  std::uint16_t contiguous = 0;
-  for (std::uint16_t unit : rec->units) {
-    if (unit == contiguous + 1) contiguous = unit;
-  }
-  complete_pages_ = contiguous;
+  layout_ = core::ImageLayout::of_bytes(
+      rec->program_bytes, config_.packets_per_page, config_.payload_bytes);
+  complete_pages_ = rec->prefix;
   return complete_pages_ > 0;
 }
 
@@ -74,8 +64,7 @@ void DelugeNode::reset_for_reboot() {
     state_ = State::kMaintain;
   }
   version_ = 0;
-  program_bytes_ = 0;
-  known_pages_ = 0;
+  layout_ = core::ImageLayout{};
   complete_pages_ = 0;
   tau_ = 0;
   heard_consistent_ = 0;
@@ -92,7 +81,7 @@ std::uint64_t DelugeNode::audit_digest() const {
   std::uint64_t h = sim::kFnvOffset;
   h = sim::fnv1a(h, static_cast<std::uint64_t>(state_));
   h = sim::fnv1a(h, version_);
-  h = sim::fnv1a(h, known_pages_);
+  h = sim::fnv1a(h, layout_.units());
   h = sim::fnv1a(h, complete_pages_);
   h = sim::fnv1a(h, static_cast<std::uint64_t>(tau_));
   h = sim::fnv1a(h, static_cast<std::uint64_t>(heard_consistent_));
@@ -110,38 +99,17 @@ std::uint64_t DelugeNode::audit_digest() const {
 
 void DelugeNode::learn_program(std::uint16_t version, std::uint16_t pages,
                                std::uint32_t bytes) {
-  if (known_pages_ == 0 && pages > 0) {
+  if (layout_.units() == 0 && pages > 0) {
     version_ = version;
-    known_pages_ = pages;
-    program_bytes_ = bytes;
+    layout_ = core::ImageLayout(bytes, config_.packets_per_page,
+                                config_.payload_bytes, pages);
     node_->meter().mark_first_advertisement(node_->now());
   }
 }
 
-std::uint16_t DelugeNode::packets_in(std::uint16_t page) const {
-  if (page == 0 || page > known_pages_) return 0;
-  if (page < known_pages_) return config_.packets_per_page;
-  const std::size_t page_bytes =
-      static_cast<std::size_t>(config_.packets_per_page) * config_.payload_bytes;
-  const std::size_t last = program_bytes_ - page_bytes * (known_pages_ - 1);
-  return static_cast<std::uint16_t>((last + config_.payload_bytes - 1) /
-                                    config_.payload_bytes);
-}
-
-std::size_t DelugeNode::eeprom_offset(std::uint16_t page, std::uint16_t pkt) const {
-  return (static_cast<std::size_t>(page - 1) * config_.packets_per_page + pkt) *
-         config_.payload_bytes;
-}
-
-std::size_t DelugeNode::payload_len(std::uint16_t page, std::uint16_t pkt) const {
-  const std::size_t offset = eeprom_offset(page, pkt);
-  if (offset >= program_bytes_) return 0;
-  return std::min(config_.payload_bytes, program_bytes_ - offset);
-}
-
 void DelugeNode::ensure_missing(std::uint16_t page) {
   if (missing_for_page_ == page) return;
-  missing_ = util::Bitmap::all_set(packets_in(page));
+  missing_ = util::Bitmap::all_set(layout_.packets_in(page));
   missing_for_page_ = page;
 }
 
@@ -172,9 +140,9 @@ void DelugeNode::round_fired() {
   Packet pkt;
   net::DelugeSummaryMsg summary;
   summary.version = version_;
-  summary.total_pages = known_pages_;
+  summary.total_pages = layout_.units();
   summary.complete_pages = complete_pages_;
-  summary.program_bytes = program_bytes_;
+  summary.program_bytes = layout_.bytes();
   pkt.payload = summary;
   if (node_->send(std::move(pkt))) {
     metrics_->add(m_summaries_, node_->id());
@@ -281,7 +249,7 @@ void DelugeNode::begin_tx(std::uint16_t page) {
   state_ = State::kTx;
   node_->stats().on_became_sender(node_->id(), node_->now());
   tx_page_ = page;
-  tx_vector_ = util::Bitmap(packets_in(page));
+  tx_vector_ = util::Bitmap(layout_.packets_in(page));
   tx_cursor_ = 0;
   tx_timer_ = node_->schedule(config_.tx_pump_interval, [this] { pump_tx(); });
 }
@@ -297,14 +265,13 @@ void DelugeNode::pump_tx() {
     data.page = tx_page_;
     data.pkt_id = static_cast<std::uint8_t>(next);
     data.payload = node_->frame_pool().acquire_payload();
+    const auto pkt_id = static_cast<std::uint16_t>(next);
     if (image_) {
-      image_->packet_payload_into(tx_page_, static_cast<std::uint16_t>(next),
-                                  data.payload);
+      image_->packet_payload_into(tx_page_, pkt_id, data.payload);
     } else {
-      node_->eeprom().read_into(
-          eeprom_offset(tx_page_, static_cast<std::uint16_t>(next)),
-          payload_len(tx_page_, static_cast<std::uint16_t>(next)),
-          data.payload);
+      node_->eeprom().read_into(layout_.offset(tx_page_, pkt_id),
+                                layout_.payload_len(tx_page_, pkt_id),
+                                data.payload);
     }
     pkt.payload = std::move(data);
     node_->send(std::move(pkt));
@@ -328,17 +295,15 @@ void DelugeNode::pump_tx() {
 void DelugeNode::store_data(const net::DelugeDataMsg& msg) {
   ensure_missing(msg.page);
   if (!missing_.test(msg.pkt_id)) return;
-  node_->eeprom().write(eeprom_offset(msg.page, msg.pkt_id), msg.payload);
+  node_->eeprom().write(layout_.offset(msg.page, msg.pkt_id), msg.payload);
   missing_.clear(msg.pkt_id);
 }
 
 void DelugeNode::page_completed() {
   ++complete_pages_;
   if (config_.journal_progress) {
-    boot::ProgressJournal journal(node_->eeprom());
-    if (journal.usable(program_bytes_)) {
-      journal.append(version_, program_bytes_, complete_pages_);
-    }
+    boot::ProgressJournal(node_->eeprom())
+        .append(version_, layout_.bytes(), complete_pages_);
   }
   node_->stats().on_segment_completed(node_->id(), complete_pages_, node_->now());
   if (has_complete_image()) {
@@ -354,7 +319,7 @@ void DelugeNode::page_completed() {
 
 void DelugeNode::handle_data(const Packet& pkt, const net::DelugeDataMsg& msg) {
   (void)pkt;
-  if (known_pages_ == 0) return;
+  if (layout_.units() == 0) return;
   if (state_ == State::kTx) return;  // half-duplex sender: handled by radio
   if (msg.page != complete_pages_ + 1) {
     // Data for a page we can't use; Deluge suppresses its own traffic.

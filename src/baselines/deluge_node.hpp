@@ -65,7 +65,7 @@ class DelugeNode final : public node::Application {
   void start(node::Node& node) override;
   void on_packet(const net::Packet& pkt) override;
   bool has_complete_image() const override {
-    return known_pages_ > 0 && complete_pages_ == known_pages_;
+    return layout_.units() > 0 && complete_pages_ == layout_.units();
   }
   /// Power cycle: timers and Trickle/RX/TX state die; start() replays the
   /// page journal (if enabled) from the surviving EEPROM.
@@ -95,9 +95,6 @@ class DelugeNode final : public node::Application {
   void page_completed();
   bool recover_journal();
 
-  std::uint16_t packets_in(std::uint16_t page) const;
-  std::size_t payload_len(std::uint16_t page, std::uint16_t pkt) const;
-  std::size_t eeprom_offset(std::uint16_t page, std::uint16_t pkt) const;
   void ensure_missing(std::uint16_t page);
   void learn_program(std::uint16_t version, std::uint16_t pages,
                      std::uint32_t bytes);
@@ -115,8 +112,7 @@ class DelugeNode final : public node::Application {
   obs::MetricsRegistry::Counter m_requests_;
 
   std::uint16_t version_ = 0;
-  std::uint32_t program_bytes_ = 0;
-  std::uint16_t known_pages_ = 0;
+  core::ImageLayout layout_;  // units() == 0: program still unknown
   std::uint16_t complete_pages_ = 0;
 
   // Trickle state.

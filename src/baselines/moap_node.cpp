@@ -33,9 +33,8 @@ void MoapNode::start(node::Node& node) {
   node_->radio_on();  // MOAP never turns the radio off
   if (image_) {
     version_ = image_->id();
-    program_bytes_ = static_cast<std::uint32_t>(image_->total_bytes());
-    total_packets_ = static_cast<std::uint32_t>(
-        (program_bytes_ + config_.payload_bytes - 1) / config_.payload_bytes);
+    layout_ = layout_of(static_cast<std::uint32_t>(image_->total_bytes()));
+    total_packets_ = layout_.total_packets();
     have_.assign(total_packets_, true);
     have_count_ = total_packets_;
     node_->stats().on_completed(node_->id(), node_->now());
@@ -49,10 +48,18 @@ void MoapNode::start(node::Node& node) {
   // re-subscribes it, and NACKs pull down only the missing tail.
 }
 
+core::ImageLayout MoapNode::layout_of(std::uint32_t program_bytes) const {
+  return core::ImageLayout::of_bytes(
+      program_bytes, static_cast<std::uint16_t>(kJournalChunkPackets),
+      config_.payload_bytes);
+}
+
 void MoapNode::maybe_journal() {
   if (!config_.journal_progress || total_packets_ == 0) return;
   boot::ProgressJournal journal(node_->eeprom());
-  if (!journal.usable(program_bytes_)) return;
+  // Checked up front: a chunk the journal can never hold must not count
+  // as journaled.
+  if (!journal.usable(layout_.bytes())) return;
   while (journaled_prefix_ < total_packets_) {
     const std::uint32_t next_end =
         std::min(journaled_prefix_ + kJournalChunkPackets, total_packets_);
@@ -66,28 +73,22 @@ void MoapNode::maybe_journal() {
     if (!chunk_complete) break;
     const std::uint16_t chunk =
         static_cast<std::uint16_t>(journaled_prefix_ / kJournalChunkPackets + 1);
-    journal.append(version_, program_bytes_, chunk);
+    journal.append(version_, layout_.bytes(), chunk);
     journaled_prefix_ = next_end;
   }
 }
 
 bool MoapNode::recover_journal() {
   if (!config_.journal_progress) return false;
-  boot::ProgressJournal journal(node_->eeprom());
-  auto rec = journal.recover();
-  if (!rec || rec->units.empty()) return false;
+  const auto rec = boot::ProgressJournal(node_->eeprom()).recover();
+  if (!rec) return false;
   version_ = rec->program_id;
-  program_bytes_ = rec->program_bytes;
-  total_packets_ = static_cast<std::uint32_t>(
-      (program_bytes_ + config_.payload_bytes - 1) / config_.payload_bytes);
+  layout_ = layout_of(rec->program_bytes);
+  total_packets_ = layout_.total_packets();
   have_.assign(total_packets_, false);
   have_count_ = 0;
-  std::uint16_t contiguous = 0;
-  for (std::uint16_t unit : rec->units) {
-    if (unit == contiguous + 1) contiguous = unit;
-  }
   journaled_prefix_ = std::min(
-      static_cast<std::uint32_t>(contiguous) * kJournalChunkPackets,
+      static_cast<std::uint32_t>(rec->prefix) * kJournalChunkPackets,
       total_packets_);
   for (std::uint32_t i = 0; i < journaled_prefix_; ++i) {
     have_[i] = true;
@@ -107,7 +108,7 @@ void MoapNode::reset_for_reboot() {
     state_ = State::kIdle;
   }
   version_ = 0;
-  program_bytes_ = 0;
+  layout_ = core::ImageLayout{};
   total_packets_ = 0;
   have_.clear();
   have_count_ = 0;
@@ -137,13 +138,6 @@ std::uint64_t MoapNode::audit_digest() const {
   return h;
 }
 
-std::size_t MoapNode::payload_len(std::uint16_t pkt_id) const {
-  const std::size_t offset =
-      static_cast<std::size_t>(pkt_id) * config_.payload_bytes;
-  if (offset >= program_bytes_) return 0;
-  return std::min(config_.payload_bytes, program_bytes_ - offset);
-}
-
 // --------------------------------------------------------------------------
 // publisher
 // --------------------------------------------------------------------------
@@ -169,7 +163,7 @@ void MoapNode::send_publish() {
   net::MoapPublishMsg msg;
   msg.version = version_;
   msg.total_packets = static_cast<std::uint16_t>(total_packets_);
-  msg.program_bytes = program_bytes_;
+  msg.program_bytes = layout_.bytes();
   pkt.payload = msg;
   if (node_->send(std::move(pkt))) {
     metrics_->add(m_publishes_, node_->id());
@@ -240,17 +234,14 @@ void MoapNode::pump_stream() {
     data.version = version_;
     data.pkt_id = pkt_id;
     data.payload = node_->frame_pool().acquire_payload();
+    const std::size_t offset = layout_.offset(pkt_id);
+    const std::size_t len = layout_.payload_len(pkt_id);
     if (image_) {
-      const std::size_t offset =
-          static_cast<std::size_t>(pkt_id) * config_.payload_bytes;
-      const std::size_t len = payload_len(pkt_id);
-      data.payload.insert(data.payload.end(),
-                          image_->bytes().begin() + static_cast<long>(offset),
-                          image_->bytes().begin() + static_cast<long>(offset + len));
+      const auto first = image_->bytes().begin() + static_cast<long>(offset);
+      data.payload.insert(data.payload.end(), first,
+                          first + static_cast<long>(len));
     } else {
-      node_->eeprom().read_into(
-          static_cast<std::size_t>(pkt_id) * config_.payload_bytes,
-          payload_len(pkt_id), data.payload);
+      node_->eeprom().read_into(offset, len, data.payload);
     }
     pkt.payload = std::move(data);
     node_->send(std::move(pkt));
@@ -293,7 +284,7 @@ void MoapNode::handle_publish(const Packet& pkt, const net::MoapPublishMsg& msg)
   if (total_packets_ == 0 && msg.total_packets > 0) {
     version_ = msg.version;
     total_packets_ = msg.total_packets;
-    program_bytes_ = msg.program_bytes;
+    layout_ = layout_of(msg.program_bytes);
     have_.assign(total_packets_, false);
     node_->meter().mark_first_advertisement(node_->now());
   }
@@ -373,8 +364,7 @@ void MoapNode::handle_data(const Packet& pkt, const net::MoapDataMsg& msg) {
     node_->stats().on_parent_set(node_->id(), pkt.src);
   }
   if (msg.pkt_id < have_.size() && !have_[msg.pkt_id]) {
-    node_->eeprom().write(
-        static_cast<std::size_t>(msg.pkt_id) * config_.payload_bytes, msg.payload);
+    node_->eeprom().write(layout_.offset(msg.pkt_id), msg.payload);
     have_[msg.pkt_id] = true;
     ++have_count_;
     maybe_journal();

@@ -92,7 +92,8 @@ class MoapNode final : public node::Application {
   void rx_idle();
   void become_publisher();
 
-  std::size_t payload_len(std::uint16_t pkt_id) const;
+  /// The image as a flat packet stream; its units are journal chunks.
+  core::ImageLayout layout_of(std::uint32_t program_bytes) const;
   /// Journals every newly completed 64-packet contiguous prefix chunk.
   void maybe_journal();
   bool recover_journal();
@@ -109,7 +110,9 @@ class MoapNode final : public node::Application {
   State state_ = State::kIdle;
 
   std::uint16_t version_ = 0;
-  std::uint32_t program_bytes_ = 0;
+  core::ImageLayout layout_;
+  /// Packets in the stream: advertised by the publisher, derived from the
+  /// layout by the base and by a rebooted node.
   std::uint32_t total_packets_ = 0;
   std::vector<bool> have_;
   std::size_t have_count_ = 0;

@@ -165,9 +165,8 @@ void NcastNode::start(node::Node& node) {
   node_->radio_on();  // like Deluge: always-on radio, no sleep schedule
   if (image_) {
     program_id_ = image_->id();
-    program_bytes_ = static_cast<std::uint32_t>(image_->total_bytes());
-    known_gens_ = image_->num_segments();
-    complete_gens_ = known_gens_;
+    layout_ = image_->layout();
+    complete_gens_ = layout_.units();
     node_->stats().on_completed(node_->id(), node_->now());
   } else if (recover_journal() && has_complete_image()) {
     node_->stats().on_completed(node_->id(), node_->now());
@@ -177,21 +176,12 @@ void NcastNode::start(node::Node& node) {
 
 bool NcastNode::recover_journal() {
   if (!config_.journal_progress) return false;
-  boot::ProgressJournal journal(node_->eeprom());
-  auto rec = journal.recover();
-  if (!rec || rec->units.empty()) return false;
-  const std::size_t gen_bytes =
-      static_cast<std::size_t>(config_.generation_size) * config_.payload_bytes;
+  const auto rec = boot::ProgressJournal(node_->eeprom()).recover();
+  if (!rec) return false;
   program_id_ = rec->program_id;
-  program_bytes_ = rec->program_bytes;
-  known_gens_ = static_cast<std::uint16_t>(
-      (rec->program_bytes + gen_bytes - 1) / gen_bytes);
-  // Generations decode strictly in order; the journal holds the prefix.
-  std::uint16_t contiguous = 0;
-  for (std::uint16_t unit : rec->units) {
-    if (unit == contiguous + 1) contiguous = unit;
-  }
-  complete_gens_ = contiguous;
+  layout_ = core::ImageLayout::of_bytes(
+      rec->program_bytes, config_.generation_size, config_.payload_bytes);
+  complete_gens_ = rec->prefix;
   return complete_gens_ > 0;
 }
 
@@ -205,8 +195,7 @@ void NcastNode::reset_for_reboot() {
     state_ = State::kAdvertise;
   }
   program_id_ = 0;
-  program_bytes_ = 0;
-  known_gens_ = 0;
+  layout_ = core::ImageLayout{};
   complete_gens_ = 0;
   decoder_.reset(0, 0);
   decoder_gen_ = 0;
@@ -222,7 +211,7 @@ std::uint64_t NcastNode::audit_digest() const {
   std::uint64_t h = sim::kFnvOffset;
   h = sim::fnv1a(h, static_cast<std::uint64_t>(state_));
   h = sim::fnv1a(h, program_id_);
-  h = sim::fnv1a(h, known_gens_);
+  h = sim::fnv1a(h, layout_.units());
   h = sim::fnv1a(h, complete_gens_);
   h = sim::fnv1a(h, static_cast<std::uint64_t>(tau_));
   h = sim::fnv1a(h, static_cast<std::uint64_t>(heard_consistent_));
@@ -248,39 +237,18 @@ std::uint8_t NcastNode::cur_rank() const {
 
 void NcastNode::learn_program(std::uint16_t id, std::uint16_t gens,
                               std::uint32_t bytes) {
-  if (known_gens_ == 0 && gens > 0) {
+  if (layout_.units() == 0 && gens > 0) {
     program_id_ = id;
-    known_gens_ = gens;
-    program_bytes_ = bytes;
+    layout_ = core::ImageLayout(bytes, config_.generation_size,
+                                config_.payload_bytes, gens);
     node_->meter().mark_first_advertisement(node_->now());
   }
-}
-
-std::uint16_t NcastNode::packets_in(std::uint16_t gen) const {
-  if (gen == 0 || gen > known_gens_) return 0;
-  if (gen < known_gens_) return config_.generation_size;
-  const std::size_t gen_bytes =
-      static_cast<std::size_t>(config_.generation_size) * config_.payload_bytes;
-  const std::size_t last = program_bytes_ - gen_bytes * (known_gens_ - 1);
-  return static_cast<std::uint16_t>((last + config_.payload_bytes - 1) /
-                                    config_.payload_bytes);
-}
-
-std::size_t NcastNode::eeprom_offset(std::uint16_t gen, std::uint16_t idx) const {
-  return (static_cast<std::size_t>(gen - 1) * config_.generation_size + idx) *
-         config_.payload_bytes;
-}
-
-std::size_t NcastNode::payload_len(std::uint16_t gen, std::uint16_t idx) const {
-  const std::size_t offset = eeprom_offset(gen, idx);
-  if (offset >= program_bytes_) return 0;
-  return std::min(config_.payload_bytes, program_bytes_ - offset);
 }
 
 void NcastNode::ensure_decoder() {
   const std::uint16_t cur = static_cast<std::uint16_t>(complete_gens_ + 1);
   if (decoder_gen_ == cur) return;
-  decoder_.reset(static_cast<std::uint8_t>(packets_in(cur)),
+  decoder_.reset(static_cast<std::uint8_t>(layout_.packets_in(cur)),
                  config_.payload_bytes);
   decoder_gen_ = cur;
 }
@@ -301,15 +269,8 @@ const char* NcastNode::state_cname(State s) {
 void NcastNode::trace_state(State next) {
   if (next == state_) return;
   if (auto* log = node_->stats().event_log()) {
-    // Format "Old->New" in a stack buffer; the log copies it inline.
-    char buf[2 * 9 + 2];
-    char* p = buf;
-    for (const char* s = state_cname(state_); *s != '\0';) *p++ = *s++;
-    *p++ = '-';
-    *p++ = '>';
-    for (const char* s = state_cname(next); *s != '\0';) *p++ = *s++;
-    log->record(node_->now(), node_->id(), trace::EventKind::kStateChange,
-                std::string_view(buf, static_cast<std::size_t>(p - buf)));
+    log->record_transition(node_->now(), node_->id(), state_cname(state_),
+                           state_cname(next));
   }
 }
 
@@ -340,8 +301,8 @@ void NcastNode::round_fired() {
   Packet pkt;
   net::NcastAdvMsg adv;
   adv.program_id = program_id_;
-  adv.program_bytes = program_bytes_;
-  adv.total_gens = known_gens_;
+  adv.program_bytes = layout_.bytes();
+  adv.total_gens = layout_.units();
   adv.complete_gens = complete_gens_;
   adv.gen_size = config_.generation_size;
   adv.cur_rank = cur_rank();
@@ -431,7 +392,7 @@ void NcastNode::handle_request(const Packet& pkt, const net::NcastReqMsg& msg) {
   (void)pkt;
   if (msg.gen == 0 || msg.gen > complete_gens_) return;  // can't serve
   const int deficit =
-      std::max(1, static_cast<int>(packets_in(msg.gen)) - msg.rank);
+      std::max(1, static_cast<int>(layout_.packets_in(msg.gen)) - msg.rank);
   if (state_ == State::kForward) {
     if (msg.gen == tx_gen_) {
       // Another requester for the burst in flight: stretch it to cover
@@ -474,7 +435,7 @@ void NcastNode::pump_tx() {
 }
 
 void NcastNode::send_coded(std::uint16_t gen) {
-  const std::uint16_t k = packets_in(gen);
+  const std::uint16_t k = layout_.packets_in(gen);
   if (k == 0) return;
   coeff_scratch_.resize(k);
   const auto seed =
@@ -492,14 +453,14 @@ void NcastNode::send_coded(std::uint16_t gen) {
   for (std::uint16_t i = 0; i < k; ++i) {
     const std::uint8_t c = coeff_scratch_[i];
     if (c == 0) continue;
-    const std::size_t len = payload_len(gen, i);
+    const std::size_t len = layout_.payload_len(gen, i);
     if (len == 0) continue;
     if (image_) {
       util::gf256::addmul_row(msg.payload.data(),
-                              image_->bytes().data() + eeprom_offset(gen, i),
+                              image_->bytes().data() + layout_.offset(gen, i),
                               len, c);
     } else {
-      node_->eeprom().read_into(eeprom_offset(gen, i), len, symbol_scratch_);
+      node_->eeprom().read_into(layout_.offset(gen, i), len, symbol_scratch_);
       util::gf256::addmul_row(msg.payload.data(), symbol_scratch_.data(), len,
                               c);
     }
@@ -520,21 +481,19 @@ void NcastNode::generation_completed() {
   const std::uint16_t gen = static_cast<std::uint16_t>(complete_gens_ + 1);
   const std::uint8_t k = decoder_.generation_size();
   for (std::uint8_t i = 0; i < k; ++i) {
-    const std::size_t len = payload_len(gen, i);
+    const std::size_t len = layout_.payload_len(gen, i);
     if (len == 0) break;
     const std::uint8_t* src = decoder_.source_packet(i);
     symbol_scratch_.assign(src, src + len);
-    node_->eeprom().write(eeprom_offset(gen, i), symbol_scratch_);
+    node_->eeprom().write(layout_.offset(gen, i), symbol_scratch_);
   }
   ++complete_gens_;
   decoder_gen_ = 0;  // recycled on demand for the next generation
   metrics_->add(m_gens_decoded_, node_->id());
   metrics_->set(m_rank_, node_->id(), 0.0);
   if (config_.journal_progress) {
-    boot::ProgressJournal journal(node_->eeprom());
-    if (journal.usable(program_bytes_)) {
-      journal.append(program_id_, program_bytes_, complete_gens_);
-    }
+    boot::ProgressJournal(node_->eeprom())
+        .append(program_id_, layout_.bytes(), complete_gens_);
   }
   node_->stats().on_segment_completed(node_->id(), complete_gens_, node_->now());
   if (has_complete_image()) {
@@ -550,7 +509,7 @@ void NcastNode::generation_completed() {
 
 void NcastNode::handle_coded(const Packet& pkt, const net::NcastCodedMsg& msg) {
   (void)pkt;
-  if (known_gens_ == 0) return;
+  if (layout_.units() == 0) return;
   if (state_ == State::kForward) return;  // half-duplex sender
   if (msg.gen != complete_gens_ + 1) {
     // A generation we can't use yet (or already hold): evidence the

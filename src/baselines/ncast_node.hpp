@@ -140,7 +140,7 @@ class NcastNode final : public node::Application {
   void start(node::Node& node) override;
   void on_packet(const net::Packet& pkt) override;
   bool has_complete_image() const override {
-    return known_gens_ > 0 && complete_gens_ == known_gens_;
+    return layout_.units() > 0 && complete_gens_ == layout_.units();
   }
   void reset_for_reboot() override;
   std::uint64_t audit_digest() const override;
@@ -171,9 +171,6 @@ class NcastNode final : public node::Application {
   void trace_state(State next);
   static const char* state_cname(State s);
 
-  std::uint16_t packets_in(std::uint16_t gen) const;
-  std::size_t eeprom_offset(std::uint16_t gen, std::uint16_t idx) const;
-  std::size_t payload_len(std::uint16_t gen, std::uint16_t idx) const;
   void ensure_decoder();
   void learn_program(std::uint16_t id, std::uint16_t gens, std::uint32_t bytes);
 
@@ -195,8 +192,7 @@ class NcastNode final : public node::Application {
   obs::MetricsRegistry::Gauge m_rank_;
 
   std::uint16_t program_id_ = 0;
-  std::uint32_t program_bytes_ = 0;
-  std::uint16_t known_gens_ = 0;
+  core::ImageLayout layout_;  // units() == 0: program still unknown
   std::uint16_t complete_gens_ = 0;
 
   // Decoder for the working generation complete_gens_ + 1 (generations

@@ -11,7 +11,10 @@ namespace mnp::baselines {
 
 using net::Packet;
 
-XnpNode::XnpNode(XnpConfig config) : config_(config) {}
+// XnpDataMsg never carries the image size, so a receiver's layout holds
+// only the packet size, which is all a flat offset needs.
+XnpNode::XnpNode(XnpConfig config)
+    : config_(config), layout_(0, 0, config.payload_bytes, 0) {}
 
 XnpNode::XnpNode(XnpConfig config, std::shared_ptr<const core::ProgramImage> image)
     : config_(config), image_(std::move(image)) {
@@ -30,8 +33,8 @@ void XnpNode::start(node::Node& node) {
                                                obs::Unit::kCount, true);
   node_->radio_on();
   if (image_) {
-    total_packets_ = static_cast<std::uint32_t>(
-        (image_->total_bytes() + config_.payload_bytes - 1) / config_.payload_bytes);
+    layout_ = image_->layout();
+    total_packets_ = layout_.total_packets();
     node_->stats().on_completed(node_->id(), node_->now());
     node_->stats().on_became_sender(node_->id(), node_->now());
     set_phase(Phase::kStream);
@@ -52,15 +55,8 @@ const char* XnpNode::phase_cname(Phase p) {
 void XnpNode::set_phase(Phase next) {
   if (next == phase_) return;
   if (auto* log = node_->stats().event_log()) {
-    // Format "Old->New" in a stack buffer; the log copies it inline.
-    char buf[2 * 8 + 2];
-    char* p = buf;
-    for (const char* s = phase_cname(phase_); *s != '\0';) *p++ = *s++;
-    *p++ = '-';
-    *p++ = '>';
-    for (const char* s = phase_cname(next); *s != '\0';) *p++ = *s++;
-    log->record(node_->now(), node_->id(), trace::EventKind::kStateChange,
-                std::string_view(buf, static_cast<std::size_t>(p - buf)));
+    log->record_transition(node_->now(), node_->id(), phase_cname(phase_),
+                           phase_cname(next));
   }
   phase_ = next;
 }
@@ -123,13 +119,14 @@ void XnpNode::pump_data() {
     net::XnpDataMsg data;
     data.pkt_id = pkt_id;
     data.total_packets = static_cast<std::uint16_t>(total_packets_);
-    const std::size_t offset = static_cast<std::size_t>(pkt_id) * config_.payload_bytes;
-    const std::size_t len =
-        std::min(config_.payload_bytes, image_->total_bytes() - offset);
     data.payload = node_->frame_pool().acquire_payload();
-    data.payload.insert(data.payload.end(),
-                        image_->bytes().begin() + static_cast<long>(offset),
-                        image_->bytes().begin() + static_cast<long>(offset + len));
+    // A fix request past the image end gets an empty payload.
+    if (const std::size_t len = layout_.payload_len(pkt_id); len > 0) {
+      const auto first =
+          image_->bytes().begin() + static_cast<long>(layout_.offset(pkt_id));
+      data.payload.insert(data.payload.end(), first,
+                          first + static_cast<long>(len));
+    }
     pkt.payload = std::move(data);
     if (node_->send(std::move(pkt))) {
       metrics_->add(m_data_sent_, node_->id());
@@ -203,8 +200,7 @@ void XnpNode::handle_data(const net::XnpDataMsg& msg) {
     set_phase(Phase::kStream);
   }
   if (msg.pkt_id >= have_.size() || have_[msg.pkt_id]) return;
-  node_->eeprom().write(static_cast<std::size_t>(msg.pkt_id) * config_.payload_bytes,
-                        msg.payload);
+  node_->eeprom().write(layout_.offset(msg.pkt_id), msg.payload);
   have_[msg.pkt_id] = true;
   ++have_count_;
   if (have_count_ == total_packets_) {

@@ -74,6 +74,7 @@ class XnpNode final : public node::Application {
 
   XnpConfig config_;
   std::shared_ptr<const core::ProgramImage> image_;
+  core::ImageLayout layout_;  // the image as one flat packet stream
   node::Node* node_ = nullptr;
 
   // Telemetry handles (xnp.* of DESIGN.md section 9), registered in the

@@ -1,5 +1,7 @@
 #include "boot/progress_journal.hpp"
 
+#include <vector>
+
 #include "util/crc32.hpp"
 
 namespace mnp::boot {
@@ -50,7 +52,7 @@ std::optional<ProgressJournal::Record> ProgressJournal::read_slot(
 
 bool ProgressJournal::append(std::uint16_t program_id,
                              std::uint32_t program_bytes, std::uint16_t unit) {
-  if (eeprom_.capacity() < kRegionBytes) return false;
+  if (!usable(program_bytes)) return false;
   // First slot that does not hold a valid record is the append point —
   // re-derived from flash every time, because the RAM that could cache it
   // is exactly what a crash wipes.
@@ -69,26 +71,18 @@ bool ProgressJournal::append(std::uint16_t program_id,
 
 std::optional<ProgressJournal::Recovered> ProgressJournal::recover() {
   if (eeprom_.capacity() < kRegionBytes) return std::nullopt;
-  std::vector<Record> records;
+  std::optional<Recovered> out;
   for (std::size_t slot = 0; slot < slot_count(); ++slot) {
-    auto rec = read_slot(slot);
+    const auto rec = read_slot(slot);
     if (!rec) break;  // append-only: first invalid slot ends the journal
-    records.push_back(*rec);
-  }
-  if (records.empty()) return std::nullopt;
-  // Only the trailing run that shares the newest record's identity is the
-  // current download; anything before it is a previous program's journal.
-  const Record& last = records.back();
-  Recovered out;
-  out.program_id = last.program_id;
-  out.program_bytes = last.program_bytes;
-  std::size_t first = records.size();
-  while (first > 0 && records[first - 1].program_id == last.program_id &&
-         records[first - 1].program_bytes == last.program_bytes) {
-    --first;
-  }
-  for (std::size_t i = first; i < records.size(); ++i) {
-    out.units.push_back(records[i].unit);
+    // A record under another identity starts a new run: only the trailing
+    // run is the current download; anything before it is a previous
+    // program's journal.
+    if (!out || out->program_id != rec->program_id ||
+        out->program_bytes != rec->program_bytes) {
+      out = Recovered{rec->program_id, rec->program_bytes, 0};
+    }
+    if (rec->unit == out->prefix + 1) out->prefix = rec->unit;
   }
   return out;
 }

@@ -5,9 +5,10 @@
 // — received-segment bitmaps, page counters — dies with the mote, while
 // the payload bytes already written to external flash survive. The
 // journal closes that gap. Every time a protocol finishes a durable unit
-// of download (an MNP segment, a Deluge page, a MOAP chunk) it appends a
-// fixed-size record; after a reboot, start() replays the journal and
-// re-marks those units as held instead of fetching them again.
+// of download (an MNP segment, a Deluge page, an NCast generation, a MOAP
+// chunk) it appends a fixed-size record; after a reboot, start() replays
+// the journal and re-marks the completed prefix as held instead of
+// fetching it again.
 //
 // Layout: the last kRegionBytes of the EEPROM, divided into 16-byte
 // slots written low to high. Records are append-only — the region is
@@ -15,13 +16,12 @@
 // write-once tracking (every slot is written at most once per EEPROM
 // lifetime) and a torn final record simply fails its CRC and is ignored.
 // Records carry the program identity they were journaled under; recovery
-// returns only the trailing run of records that agree on it, so stale
+// reads only the trailing run of records that agree on it, so stale
 // entries from a previous dissemination cannot poison a new one.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "storage/eeprom.hpp"
 
@@ -43,28 +43,32 @@ class ProgressJournal {
   }
 
   /// True when the journal tail does not overlap an image ending at
-  /// `image_end` — protocols must check this before journaling so a
-  /// huge image on a tiny EEPROM degrades to "no journal" instead of
-  /// corrupting itself.
+  /// `image_end`.
   bool usable(std::size_t image_end) const {
     return eeprom_.capacity() >= kRegionBytes && image_end <= region_offset();
   }
 
-  /// Appends one completed-unit record. Returns false when the region is
-  /// full (recovery then just misses the overflow — never corrupts).
+  /// Appends one completed-unit record for an image of `program_bytes`
+  /// stored from offset 0. Returns false, writing nothing, when the
+  /// region would overlap that image (a huge image on a tiny EEPROM runs
+  /// without a journal instead of corrupting itself) or is full
+  /// (recovery then just misses the overflow — never corrupts).
   bool append(std::uint16_t program_id, std::uint32_t program_bytes,
               std::uint16_t unit);
 
   struct Recovered {
     std::uint16_t program_id = 0;
     std::uint32_t program_bytes = 0;
-    /// Units in append order (the trailing run sharing one identity).
-    std::vector<std::uint16_t> units;
+    /// Completed-unit prefix: the largest k such that units 1, 2, ..., k
+    /// appear in that order in the trailing run. Units complete strictly
+    /// in order, so this is what the node holds; 0 if unit 1 is missing.
+    std::uint16_t prefix = 0;
   };
 
-  /// Replays the journal: the trailing run of CRC-valid records that
-  /// agree on (program_id, program_bytes). Empty optional when no valid
-  /// record exists. (Non-const: EEPROM reads bill the energy meter.)
+  /// Replays the journal: the identity of the trailing run of CRC-valid
+  /// records that agree on (program_id, program_bytes), and that run's
+  /// completed-unit prefix. Empty optional when no valid record exists.
+  /// (Non-const: EEPROM reads bill the energy meter.)
   std::optional<Recovered> recover();
 
   /// Number of CRC-valid records currently in the region.

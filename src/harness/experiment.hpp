@@ -49,8 +49,9 @@ struct ExperimentConfig {
   double interference_factor = 1.6;
   bool empirical_links = true;    // false => ideal disk model
   double link_noise_stddev = 0.08;
-  /// Channel mechanics (neighbor cache, zero-copy delivery). Defaults keep
-  /// both fast paths on; equivalence tests flip them off per run.
+  /// Channel mechanics (bitrate, neighbor cache). The default keeps the
+  /// neighbor cache on; equivalence tests turn it off per run to diff
+  /// against the brute-force oracle.
   net::Channel::Params channel;
 
   // --- program -----------------------------------------------------------

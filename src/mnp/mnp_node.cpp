@@ -7,7 +7,6 @@
 #include "boot/progress_journal.hpp"
 #include "node/stats.hpp"
 #include "sim/audit.hpp"
-#include "util/log.hpp"
 
 namespace mnp::core {
 
@@ -55,9 +54,8 @@ void MnpNode::start(node::Node& node) {
          config_.packets_per_segment <= ProgramImage::kMaxPacketsPerSegment);
   if (image_) {
     program_id_ = image_->id();
-    program_bytes_ = static_cast<std::uint32_t>(image_->total_bytes());
-    known_segments_ = image_->num_segments();
-    rvd_seg_ = known_segments_;
+    layout_ = image_->layout();
+    rvd_seg_ = layout_.units();
     node_->stats().on_completed(node_->id(), node_->now());
     enter_advertise(/*reset_interval=*/true);
   } else if (recover_journal()) {
@@ -78,35 +76,17 @@ void MnpNode::start(node::Node& node) {
   }
 }
 
-void MnpNode::journal_segment(std::uint16_t seg) {
-  if (!config_.journal_progress) return;
-  boot::ProgressJournal journal(node_->eeprom());
-  if (!journal.usable(program_bytes_)) return;
-  journal.append(program_id_, program_bytes_, seg);
-}
-
 bool MnpNode::recover_journal() {
   if (!config_.journal_progress) return false;
-  boot::ProgressJournal journal(node_->eeprom());
-  auto rec = journal.recover();
-  if (!rec || rec->units.empty()) return false;
-  if (!accepts_program(rec->program_id)) return false;
+  const auto rec = boot::ProgressJournal(node_->eeprom()).recover();
+  if (!rec || !accepts_program(rec->program_id)) return false;
   // Geometry is derivable: segment size is a network-wide protocol
   // constant, so the journaled byte count fixes the segment count.
-  const std::size_t seg_bytes =
-      static_cast<std::size_t>(config_.packets_per_segment) *
-      config_.payload_bytes;
   program_id_ = rec->program_id;
-  program_bytes_ = rec->program_bytes;
-  known_segments_ =
-      static_cast<std::uint16_t>((rec->program_bytes + seg_bytes - 1) / seg_bytes);
-  // MNP downloads segments strictly in order, so journaled units are the
-  // prefix 1..k; take the longest contiguous run in case of anomalies.
-  std::uint16_t contiguous = 0;
-  for (std::uint16_t unit : rec->units) {
-    if (unit == contiguous + 1) contiguous = unit;
-  }
-  rvd_seg_ = contiguous;
+  layout_ = ImageLayout::of_bytes(rec->program_bytes,
+                                  config_.packets_per_segment,
+                                  config_.payload_bytes);
+  rvd_seg_ = rec->prefix;
   return rvd_seg_ > 0;
 }
 
@@ -120,8 +100,7 @@ void MnpNode::reset_for_reboot() {
     change_state(State::kIdle);
   }
   program_id_ = 0;
-  program_bytes_ = 0;
-  known_segments_ = 0;
+  layout_ = ImageLayout{};
   rvd_seg_ = 0;
   missing_ = util::BigBitmap{};
   missing_for_seg_ = 0;
@@ -145,7 +124,7 @@ std::uint64_t MnpNode::audit_digest() const {
   std::uint64_t h = sim::kFnvOffset;
   h = sim::fnv1a(h, static_cast<std::uint64_t>(state_));
   h = sim::fnv1a(h, program_id_);
-  h = sim::fnv1a(h, known_segments_);
+  h = sim::fnv1a(h, layout_.units());
   h = sim::fnv1a(h, rvd_seg_);
   h = sim::fnv1a(h, missing_for_seg_);
   h = sim::fnv1a(h, static_cast<std::uint64_t>(parent_));
@@ -184,7 +163,7 @@ bool MnpNode::reboot(const ProgramImage& oracle) {
     rebooted_ = oracle.matches(image_->bytes());
     return rebooted_;
   }
-  auto stored = node_->eeprom().read(0, program_bytes_);
+  auto stored = node_->eeprom().read(0, layout_.bytes());
   rebooted_ = oracle.matches(stored);
   return rebooted_;
 }
@@ -194,44 +173,23 @@ bool MnpNode::reboot(const ProgramImage& oracle) {
 // --------------------------------------------------------------------------
 
 bool MnpNode::can_advertise() const {
-  if (known_segments_ == 0) return false;
-  return config_.pipelining ? rvd_seg_ >= 1 : rvd_seg_ == known_segments_;
-}
-
-std::uint16_t MnpNode::packets_in(std::uint16_t seg) const {
-  if (seg == 0 || seg > known_segments_) return 0;
-  if (seg < known_segments_) return config_.packets_per_segment;
-  const std::size_t seg_bytes =
-      static_cast<std::size_t>(config_.packets_per_segment) * config_.payload_bytes;
-  const std::size_t last_bytes =
-      program_bytes_ - seg_bytes * static_cast<std::size_t>(known_segments_ - 1);
-  return static_cast<std::uint16_t>((last_bytes + config_.payload_bytes - 1) /
-                                    config_.payload_bytes);
-}
-
-std::size_t MnpNode::eeprom_offset(std::uint16_t seg, std::uint16_t pkt) const {
-  return (static_cast<std::size_t>(seg - 1) * config_.packets_per_segment + pkt) *
-         config_.payload_bytes;
-}
-
-std::size_t MnpNode::payload_len(std::uint16_t seg, std::uint16_t pkt) const {
-  const std::size_t at = eeprom_offset(seg, pkt);
-  if (at >= program_bytes_) return 0;
-  return std::min(config_.payload_bytes, program_bytes_ - at);
+  if (layout_.units() == 0) return false;
+  return config_.pipelining ? rvd_seg_ >= 1 : rvd_seg_ == layout_.units();
 }
 
 void MnpNode::ensure_missing_vector(std::uint16_t seg) {
   // Never cache a vector before the program geometry is known — a zero-
   // sized MissingVector would make the segment "complete" vacuously.
-  if (known_segments_ == 0 || packets_in(seg) == 0) return;
-  if (missing_for_seg_ == seg && missing_.size() == packets_in(seg)) return;
-  missing_ = util::BigBitmap::all_set(packets_in(seg));
+  const std::uint16_t pkts = layout_.packets_in(seg);
+  if (pkts == 0) return;
+  if (missing_for_seg_ == seg && missing_.size() == pkts) return;
+  missing_ = util::BigBitmap::all_set(pkts);
   missing_for_seg_ = seg;
 }
 
 sim::Time MnpNode::segment_transfer_estimate() const {
   const std::uint16_t pkts =
-      known_segments_ ? config_.packets_per_segment : std::uint16_t{128};
+      layout_.units() ? config_.packets_per_segment : std::uint16_t{128};
   return static_cast<sim::Time>(
       config_.sleep_multiplier *
       static_cast<double>(config_.expected_segment_transfer_time(pkts)));
@@ -259,21 +217,14 @@ void MnpNode::cancel_timers() {
 bool MnpNode::accepts_program(std::uint16_t program_id) const {
   if (config_.target_program != 0) return program_id == config_.target_program;
   // No explicit subscription: locked to whatever program was heard first.
-  return known_segments_ == 0 || program_id == program_id_;
+  return layout_.units() == 0 || program_id == program_id_;
 }
 
 void MnpNode::change_state(State next) {
   if (next != state_ && node_ != nullptr) {
     if (auto* log = node_->stats().event_log()) {
-      // Format "Old->New" in a stack buffer; the log copies it inline.
-      char buf[2 * 16 + 2];
-      char* p = buf;
-      for (const char* s = state_cname(state_); *s != '\0';) *p++ = *s++;
-      *p++ = '-';
-      *p++ = '>';
-      for (const char* s = state_cname(next); *s != '\0';) *p++ = *s++;
-      log->record(node_->now(), node_->id(), trace::EventKind::kStateChange,
-                  std::string_view(buf, static_cast<std::size_t>(p - buf)));
+      log->record_transition(node_->now(), node_->id(), state_cname(state_),
+                             state_cname(next));
     }
     metrics_->add(m_state_entries_[static_cast<std::size_t>(next)],
                   node_->id());
@@ -282,11 +233,11 @@ void MnpNode::change_state(State next) {
 }
 
 void MnpNode::learn_program(const net::AdvertisementMsg& adv) {
-  if (known_segments_ == 0 && adv.program_segments > 0 &&
+  if (layout_.units() == 0 && adv.program_segments > 0 &&
       accepts_program(adv.program_id)) {
     program_id_ = adv.program_id;
-    program_bytes_ = adv.program_bytes;
-    known_segments_ = adv.program_segments;
+    layout_ = ImageLayout(adv.program_bytes, config_.packets_per_segment,
+                          config_.payload_bytes, adv.program_segments);
   }
 }
 
@@ -300,7 +251,7 @@ void MnpNode::enter_idle() {
   node_->radio_on();  // idle listening: the energy cost Fig. 8 measures
   req_ctr_ = 0;
   requesters_.clear();
-  if (config_.pre_wave_duty_cycle > 0.0 && known_segments_ == 0) {
+  if (config_.pre_wave_duty_cycle > 0.0 && layout_.units() == 0) {
     schedule_pre_wave_cycle();
   }
 }
@@ -313,14 +264,14 @@ void MnpNode::schedule_pre_wave_cycle() {
   const auto listen =
       static_cast<sim::Time>(static_cast<double>(config_.pre_wave_period) * duty);
   pre_wave_timer_ = node_->schedule(listen, [this] {
-    if (state_ != State::kIdle || known_segments_ != 0) return;
+    if (state_ != State::kIdle || layout_.units() != 0) return;
     node_->radio_off();
     const auto listen_span = static_cast<sim::Time>(
         static_cast<double>(config_.pre_wave_period) *
         std::clamp(config_.pre_wave_duty_cycle, 0.01, 1.0));
     pre_wave_timer_ =
         node_->schedule(config_.pre_wave_period - listen_span, [this] {
-          if (state_ != State::kIdle || known_segments_ != 0) return;
+          if (state_ != State::kIdle || layout_.units() != 0) return;
           node_->radio_on();
           schedule_pre_wave_cycle();
         });
@@ -346,7 +297,7 @@ void MnpNode::enter_advertise(bool reset_interval) {
   adv_count_ = 0;
   adv_seg_ = std::clamp<std::uint16_t>(adv_seg_, 1, rvd_seg_);
   if (adv_seg_ == 0) adv_seg_ = rvd_seg_;
-  forward_vector_.reset(packets_in(adv_seg_));
+  forward_vector_.reset(layout_.packets_in(adv_seg_));
   if (reset_interval || adv_interval_hi_ == 0) {
     adv_interval_hi_ = config_.adv_interval_max;
   }
@@ -361,7 +312,7 @@ void MnpNode::enter_forward() {
   end_download_sent_ = false;
   Packet pkt;
   pkt.payload = net::StartDownloadMsg{
-      program_id_, adv_seg_, packets_in(adv_seg_)};
+      program_id_, adv_seg_, layout_.packets_in(adv_seg_)};
   node_->send(std::move(pkt));
   forward_timer_ = node_->schedule(config_.forward_pump_interval,
                                    [this] { pump_forward_queue(); });
@@ -438,8 +389,8 @@ void MnpNode::send_advertisement() {
   Packet pkt;
   net::AdvertisementMsg adv;
   adv.program_id = program_id_;
-  adv.program_bytes = program_bytes_;
-  adv.program_segments = known_segments_;
+  adv.program_bytes = layout_.bytes();
+  adv.program_segments = layout_.units();
   adv.seg_id = adv_seg_;
   adv.req_ctr = req_ctr_;
   pkt.payload = adv;
@@ -466,13 +417,13 @@ void MnpNode::schedule_next_advertisement() {
       }
       // No requesters for this segment.
       if (config_.estimate_neighborhood_completion && !needs_code() &&
-          adv_seg_ == known_segments_) {
+          adv_seg_ == layout_.units()) {
         neighborhood_complete_ = true;
       }
       if (adv_seg_ < rvd_seg_) {
         // Rule 5: nobody wants this segment; offer the next one.
         ++adv_seg_;
-        forward_vector_.reset(packets_in(adv_seg_));
+        forward_vector_.reset(layout_.packets_in(adv_seg_));
         adv_count_ = 0;
       } else {
         // Stable neighborhood: advertise with reduced frequency.
@@ -509,7 +460,7 @@ void MnpNode::send_download_request(net::NodeId dest, std::uint8_t req_ctr_echo)
   const sim::Time delay = node_->rng().uniform_int(0, config_.request_delay_max);
   request_timer_ = node_->schedule(delay, [this, dest, req_ctr_echo] {
     if (state_ != State::kIdle && state_ != State::kAdvertise) return;
-    if (!needs_code() || known_segments_ == 0) return;
+    if (!needs_code() || layout_.units() == 0) return;
     ensure_missing_vector(expected_seg());
     Packet pkt;
     net::DownloadRequestMsg req;
@@ -545,7 +496,7 @@ void MnpNode::handle_advertisement(const Packet& pkt,
   // dissemination: foreign programs are not of interest). Competition
   // still spans programs — there is only one channel.
   const bool ours =
-      known_segments_ != 0 && adv.program_id == program_id_;
+      layout_.units() != 0 && adv.program_id == program_id_;
 
   switch (state_) {
     case State::kIdle:
@@ -623,7 +574,7 @@ void MnpNode::handle_download_request(const Packet& pkt,
   if (req.program_id == program_id_ && req.seg_id >= 1 &&
       req.seg_id < adv_seg_ && req.seg_id <= rvd_seg_) {
     adv_seg_ = req.seg_id;
-    forward_vector_.reset(packets_in(adv_seg_));
+    forward_vector_.reset(layout_.packets_in(adv_seg_));
     req_ctr_ = 0;
     requesters_.clear();
     adv_count_ = 0;
@@ -641,7 +592,7 @@ void MnpNode::handle_download_request(const Packet& pkt,
                req_ctr_ == 0) {
       // Everyone near us is past adv_seg_; jump forward to what was asked.
       adv_seg_ = req.seg_id;
-      forward_vector_.reset(packets_in(adv_seg_));
+      forward_vector_.reset(layout_.packets_in(adv_seg_));
       if (add_requester(pkt.src)) req_ctr_ = 1;
       merge_request(req);
     }
@@ -675,7 +626,7 @@ void MnpNode::handle_start_download(const Packet& pkt,
   switch (state_) {
     case State::kIdle:
     case State::kAdvertise:
-      if (needs_code() && known_segments_ != 0 &&
+      if (needs_code() && layout_.units() != 0 &&
           msg.program_id == program_id_ && msg.seg_id == expected_seg()) {
         enter_download(pkt.src, msg.seg_id);
       } else {
@@ -713,7 +664,7 @@ void MnpNode::handle_data(const Packet& pkt, const net::DataMsg& msg) {
       break;
     case State::kIdle:
     case State::kAdvertise:
-      if (needs_code() && known_segments_ != 0 &&
+      if (needs_code() && layout_.units() != 0 &&
           msg.program_id == program_id_ && msg.seg_id == expected_seg()) {
         // Missed the StartDownload but the stream is for us: join it.
         enter_download(pkt.src, msg.seg_id);
@@ -733,14 +684,17 @@ void MnpNode::store_data_packet(const net::DataMsg& msg) {
   // A data packet must carry exactly the bytes this slot expects; an
   // empty or short payload (malformed sender) must not mark the packet
   // as received.
-  if (msg.payload.size() != payload_len(msg.seg_id, msg.pkt_id)) return;
-  node_->eeprom().write(eeprom_offset(msg.seg_id, msg.pkt_id), msg.payload);
+  if (msg.payload.size() != layout_.payload_len(msg.seg_id, msg.pkt_id)) return;
+  node_->eeprom().write(layout_.offset(msg.seg_id, msg.pkt_id), msg.payload);
   missing_.clear(msg.pkt_id);
 }
 
 void MnpNode::complete_current_segment() {
   rvd_seg_ = downloading_seg_;
-  journal_segment(rvd_seg_);
+  if (config_.journal_progress) {
+    boot::ProgressJournal(node_->eeprom())
+        .append(program_id_, layout_.bytes(), rvd_seg_);
+  }
   node_->stats().on_segment_completed(node_->id(), rvd_seg_, node_->now());
   if (has_complete_image()) {
     node_->stats().on_completed(node_->id(), node_->now());
@@ -821,8 +775,8 @@ void MnpNode::send_data_packet(std::uint16_t seg, std::uint16_t pkt_id) {
   if (image_) {
     image_->packet_payload_into(seg, pkt_id, data.payload);
   } else {
-    node_->eeprom().read_into(eeprom_offset(seg, pkt_id),
-                              payload_len(seg, pkt_id), data.payload);
+    node_->eeprom().read_into(layout_.offset(seg, pkt_id),
+                              layout_.payload_len(seg, pkt_id), data.payload);
   }
   pkt.payload = std::move(data);
   if (node_->send(std::move(pkt))) {

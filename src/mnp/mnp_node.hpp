@@ -64,7 +64,7 @@ class MnpNode final : public node::Application {
   void start(node::Node& node) override;
   void on_packet(const net::Packet& pkt) override;
   bool has_complete_image() const override {
-    return known_segments_ > 0 && rvd_seg_ == known_segments_;
+    return layout_.units() > 0 && rvd_seg_ == layout_.units();
   }
   /// Power cycle: cancels every pending timer and wipes volatile protocol
   /// state; the next start() replays the progress journal (if enabled)
@@ -143,21 +143,16 @@ class MnpNode final : public node::Application {
   void learn_program(const net::AdvertisementMsg& adv);
   /// Subset dissemination: whether this node participates in `program_id`.
   bool accepts_program(std::uint16_t program_id) const;
-  bool needs_code() const { return known_segments_ == 0 || rvd_seg_ < known_segments_; }
+  bool needs_code() const {
+    return layout_.units() == 0 || rvd_seg_ < layout_.units();
+  }
   /// Eligible to act as a source: with pipelining, any complete segment
   /// qualifies; without it, only the full image does (section 3.1.1).
   bool can_advertise() const;
   std::uint16_t expected_seg() const { return static_cast<std::uint16_t>(rvd_seg_ + 1); }
-  std::uint16_t packets_in(std::uint16_t seg) const;
-  std::size_t payload_len(std::uint16_t seg, std::uint16_t pkt) const;
-  std::size_t eeprom_offset(std::uint16_t seg, std::uint16_t pkt) const;
   void ensure_missing_vector(std::uint16_t seg);
-  /// Journals one completed segment (no-op unless config_.journal_progress
-  /// and the journal region clears the image).
-  void journal_segment(std::uint16_t seg);
   /// Replays the journal at boot: restores program geometry and the
-  /// contiguous received-segment prefix. Returns true if progress was
-  /// recovered.
+  /// completed-segment prefix. Returns true if progress was recovered.
   bool recover_journal();
   sim::Time segment_transfer_estimate() const;
   /// True if (their_req_ctr, their_id) beats (my req_ctr, my id).
@@ -179,8 +174,7 @@ class MnpNode final : public node::Application {
 
   // Program metadata (learned from advertisements; innate for the base).
   std::uint16_t program_id_ = 0;
-  std::uint32_t program_bytes_ = 0;
-  std::uint16_t known_segments_ = 0;  // 0 = program still unknown
+  ImageLayout layout_;  // units() == 0: program still unknown
 
   // Receiver side.
   std::uint16_t rvd_seg_ = 0;        // highest fully received segment

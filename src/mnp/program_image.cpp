@@ -1,7 +1,5 @@
 #include "mnp/program_image.hpp"
 
-#include <algorithm>
-
 namespace mnp::core {
 
 namespace {
@@ -19,45 +17,20 @@ std::uint64_t splitmix64(std::uint64_t x) {
 ProgramImage::ProgramImage(std::uint16_t program_id, std::size_t total_bytes,
                            std::uint16_t packets_per_segment,
                            std::size_t payload_bytes)
-    : id_(program_id),
-      packets_per_segment_(packets_per_segment),
-      payload_bytes_(payload_bytes ? payload_bytes : 1) {
-  if (packets_per_segment_ == 0) packets_per_segment_ = 1;
+    : id_(program_id) {
   data_.resize(total_bytes);
   for (std::size_t i = 0; i < total_bytes; ++i) {
     data_[i] = static_cast<std::uint8_t>(
         splitmix64((static_cast<std::uint64_t>(program_id) << 32) | i));
   }
-  const std::size_t seg_bytes = packets_per_segment_ * payload_bytes_;
-  num_segments_ = static_cast<std::uint16_t>((total_bytes + seg_bytes - 1) / seg_bytes);
-  if (num_segments_ == 0) num_segments_ = 1;
-}
-
-ProgramImage::ProgramImage(std::uint16_t program_id,
-                           std::vector<std::uint8_t> content,
-                           std::uint16_t packets_per_segment,
-                           std::size_t payload_bytes)
-    : id_(program_id),
-      packets_per_segment_(packets_per_segment ? packets_per_segment : 1),
-      payload_bytes_(payload_bytes ? payload_bytes : 1),
-      data_(std::move(content)) {
-  const std::size_t seg_bytes = packets_per_segment_ * payload_bytes_;
-  num_segments_ =
-      static_cast<std::uint16_t>((data_.size() + seg_bytes - 1) / seg_bytes);
-  if (num_segments_ == 0) num_segments_ = 1;
-}
-
-std::uint16_t ProgramImage::packets_in_segment(std::uint16_t seg) const {
-  if (seg == 0 || seg > num_segments_) return 0;
-  if (seg < num_segments_) return packets_per_segment_;
-  const std::size_t seg_bytes = packets_per_segment_ * payload_bytes_;
-  const std::size_t last_bytes = data_.size() - seg_bytes * (num_segments_ - 1);
-  return static_cast<std::uint16_t>((last_bytes + payload_bytes_ - 1) / payload_bytes_);
-}
-
-std::size_t ProgramImage::packet_offset(std::uint16_t seg, std::uint16_t pkt) const {
-  return (static_cast<std::size_t>(seg - 1) * packets_per_segment_ + pkt) *
-         payload_bytes_;
+  const ImageLayout derived = ImageLayout::of_bytes(
+      static_cast<std::uint32_t>(total_bytes),
+      packets_per_segment ? packets_per_segment : std::uint16_t{1},
+      payload_bytes ? payload_bytes : 1);
+  // Unlike a journal-derived layout, an empty image keeps one segment.
+  layout_ = ImageLayout(derived.bytes(), derived.packets_per_unit(),
+                        derived.payload_bytes(),
+                        std::max<std::uint16_t>(derived.units(), 1));
 }
 
 std::vector<std::uint8_t> ProgramImage::packet_payload(std::uint16_t seg,
@@ -70,11 +43,11 @@ std::vector<std::uint8_t> ProgramImage::packet_payload(std::uint16_t seg,
 void ProgramImage::packet_payload_into(std::uint16_t seg, std::uint16_t pkt,
                                        std::vector<std::uint8_t>& out) const {
   out.clear();
-  const std::size_t offset = packet_offset(seg, pkt);
-  if (offset >= data_.size()) return;
-  const std::size_t len = std::min(payload_bytes_, data_.size() - offset);
-  out.insert(out.end(), data_.begin() + static_cast<long>(offset),
-             data_.begin() + static_cast<long>(offset + len));
+  const std::size_t len = layout_.payload_len(seg, pkt);
+  if (len == 0) return;
+  const auto first =
+      data_.begin() + static_cast<long>(layout_.offset(seg, pkt));
+  out.insert(out.end(), first, first + static_cast<long>(len));
 }
 
 }  // namespace mnp::core

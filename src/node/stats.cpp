@@ -49,16 +49,6 @@ MsgClass classify(net::PacketType t) {
   }
 }
 
-net::PacketType representative(MsgClass c) {
-  switch (c) {
-    case MsgClass::kAdvertisement: return net::PacketType::kAdvertisement;
-    case MsgClass::kRequest: return net::PacketType::kDownloadRequest;
-    case MsgClass::kData: return net::PacketType::kData;
-    case MsgClass::kOther: return net::PacketType::kQuery;
-  }
-  return net::PacketType::kQuery;
-}
-
 StatsCollector::StatsCollector(obs::MetricsRegistry& metrics)
     : metrics_(metrics),
       m_completions_(metrics.register_counter("node.completions",
@@ -129,12 +119,7 @@ void StatsCollector::on_completed(net::NodeId id, sim::Time now) {
 void StatsCollector::on_segment_completed(net::NodeId id, std::uint16_t seg,
                                           sim::Time now) {
   if (id >= nodes_.size() || seg == 0) return;
-  auto& v = nodes_[id].segment_completion;
-  if (v.size() < seg) v.resize(seg, sim::kNever);
-  if (v[seg - 1] < 0) {
-    v[seg - 1] = now;
-    metrics_.add(m_segments_, id);
-  }
+  if (seg > metrics_.at(m_segments_, id)) metrics_.add(m_segments_, id);
   if (event_log_) {
     event_log_->record(now, id, trace::EventKind::kSegmentCompleted,
                        static_cast<std::uint64_t>(seg));

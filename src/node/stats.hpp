@@ -31,7 +31,6 @@ struct NodeStats {
   sim::Time completion_time = sim::kNever;  // full image verified
   sim::Time became_sender = sim::kNever;    // first entered Forward
   int parent = -1;                          // last parent set (-1: none)
-  std::vector<sim::Time> segment_completion;  // index = segment-1
 
   std::uint64_t total_sent() const;
   std::uint64_t total_received() const;
@@ -41,7 +40,6 @@ struct NodeStats {
 
 /// Message categories for the Fig.-12 per-minute timeline.
 enum class MsgClass : std::size_t { kAdvertisement = 0, kRequest = 1, kData = 2, kOther = 3 };
-net::PacketType representative(MsgClass c);
 MsgClass classify(net::PacketType t);
 
 class StatsCollector final : public net::ChannelObserver {
@@ -60,6 +58,10 @@ class StatsCollector final : public net::ChannelObserver {
 
   // --- protocol hooks ------------------------------------------------------
   void on_completed(net::NodeId id, sim::Time now);
+  /// Unit `seg` (a segment, page or generation) completed. Units complete
+  /// strictly in order, so only a unit past the node's
+  /// node.segments_completed count is new; a repeat (after a reboot that
+  /// lost progress) is traced but not counted again.
   void on_segment_completed(net::NodeId id, std::uint16_t seg, sim::Time now);
   void on_parent_set(net::NodeId id, net::NodeId parent);
   void on_became_sender(net::NodeId id, sim::Time now);

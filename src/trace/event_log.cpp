@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <initializer_list>
 #include <sstream>
 
 namespace mnp::trace {
@@ -59,6 +60,18 @@ void EventLog::record(sim::Time time, net::NodeId node, EventKind kind,
   const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
   record(time, node, kind,
          std::string_view(buf, static_cast<std::size_t>(end - buf)));
+}
+
+void EventLog::record_transition(sim::Time time, net::NodeId node,
+                                 std::string_view from, std::string_view to) {
+  char buf[kInlineDetail];
+  std::size_t len = 0;
+  for (const std::string_view part : {from, std::string_view("->"), to}) {
+    const std::size_t n = std::min(part.size(), kInlineDetail - len);
+    std::copy_n(part.data(), n, buf + len);
+    len += n;
+  }
+  record(time, node, EventKind::kStateChange, std::string_view(buf, len));
 }
 
 void EventLog::clear() {

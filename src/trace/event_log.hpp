@@ -63,6 +63,10 @@ class EventLog {
   /// Small-integer detail (e.g. a segment id), formatted inline.
   void record(sim::Time time, net::NodeId node, EventKind kind,
               std::uint64_t value);
+  /// A kStateChange whose detail is "from->to", written inline (and
+  /// truncated) like any other detail.
+  void record_transition(sim::Time time, net::NodeId node,
+                         std::string_view from, std::string_view to);
 
   std::size_t size() const { return ring_.size(); }
   std::size_t capacity() const { return capacity_; }

@@ -8,6 +8,8 @@
 #include <new>
 
 #include "harness/experiment.hpp"
+#include "node/stats.hpp"
+#include "obs/metrics.hpp"
 #include "sim/scheduler.hpp"
 
 namespace {
@@ -132,6 +134,32 @@ TEST(Allocations, BaselineRunsMakeUnderATenthOfAnAllocationPerTransmission) {
     EXPECT_LT(per_tx, 0.1) << allocs << " allocations over "
                            << result.transmissions << " transmissions";
   }
+}
+
+// Unit-completion bookkeeping: 64 nodes each completing 16 units (an
+// NCast image of 16 generations), then a snapshot of every node, allocate
+// nothing. A per-node vector of completion times grew at 1, 2, 4, 8 and
+// 16 entries and was copied by every snapshot: 6 allocations per node.
+TEST(Allocations, UnitCompletionsAndNodeSnapshotsAllocateNothing) {
+  constexpr net::NodeId kNodes = 64;
+  constexpr std::uint16_t kUnits = 16;
+  obs::MetricsRegistry metrics(kNodes);
+  node::StatsCollector stats(metrics);
+  std::uint64_t parents = 0;
+  const std::uint64_t allocs = allocations_in([&] {
+    for (net::NodeId id = 0; id < kNodes; ++id) {
+      for (std::uint16_t unit = 1; unit <= kUnits; ++unit) {
+        stats.on_segment_completed(id, unit, sim::sec(unit));
+      }
+    }
+    for (net::NodeId id = 0; id < kNodes; ++id) {
+      parents += stats.node(id).parent == -1 ? 1 : 0;
+    }
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(parents, kNodes);
+  EXPECT_EQ(metrics.counter_total("node.segments_completed"),
+            std::uint64_t{kUnits} * kNodes);
 }
 
 // The event queue itself: once its heap and slot pool have grown to the

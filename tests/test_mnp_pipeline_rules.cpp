@@ -118,7 +118,7 @@ class PipelineRuleTest : public ::testing::Test {
         net::StartDownloadMsg{image_->id(), seg, cfg_.packets_per_segment};
     puppet_->send(std::move(start));
     run_for(sim::msec(100));
-    for (std::uint16_t p = 0; p < image_->packets_in_segment(seg); ++p) {
+    for (std::uint16_t p = 0; p < image_->layout().packets_in(seg); ++p) {
       Packet pkt;
       net::DataMsg d;
       d.program_id = image_->id();

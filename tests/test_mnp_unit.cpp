@@ -142,7 +142,7 @@ class MnpUnitTest : public ::testing::Test {
     run_for(sim::msec(200));
     puppet_starts_download(seg);
     run_for(sim::msec(100));
-    for (std::uint16_t p = 0; p < image_->packets_in_segment(seg); ++p) {
+    for (std::uint16_t p = 0; p < image_->layout().packets_in(seg); ++p) {
       puppet_sends_data(seg, p);
       run_for(sim::msec(50));
     }

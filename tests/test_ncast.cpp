@@ -248,7 +248,7 @@ TEST(NcastReboot, NodeResumesFromJournaledGenerations) {
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->program_id, kProgramId);
   EXPECT_EQ(rec->program_bytes, bytes);
-  EXPECT_EQ(rec->units, (std::vector<std::uint16_t>{1}));
+  EXPECT_EQ(rec->prefix, 1);
 
   sim.run_until(sim.now() + sim::sec(30));
   network.node(8).reboot();

@@ -40,7 +40,7 @@ TEST(ProgressJournal, AppendsAndRecoversInOrder) {
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->program_id, 7);
   EXPECT_EQ(rec->program_bytes, 5632u);
-  EXPECT_EQ(rec->units, (std::vector<std::uint16_t>{1, 2, 3}));
+  EXPECT_EQ(rec->prefix, 3);
   EXPECT_EQ(eeprom.resident_pages(), 1u);  // the journal is the top page
 }
 
@@ -57,11 +57,10 @@ TEST(ProgressJournal, RecoverySurvivesSimulatedPowerLoss) {
   const auto rec = after_reboot.recover();
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->program_id, 9);
-  EXPECT_EQ(rec->units, (std::vector<std::uint16_t>{1}));
+  EXPECT_EQ(rec->prefix, 1);
   // And appends continue after the existing records, not over them.
   EXPECT_TRUE(after_reboot.append(9, 2816, 2));
-  EXPECT_EQ(after_reboot.recover()->units,
-            (std::vector<std::uint16_t>{1, 2}));
+  EXPECT_EQ(after_reboot.recover()->prefix, 2);
 }
 
 TEST(ProgressJournal, NewProgramIdentitySupersedesOldRecords) {
@@ -76,7 +75,23 @@ TEST(ProgressJournal, NewProgramIdentitySupersedesOldRecords) {
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->program_id, 8);
   EXPECT_EQ(rec->program_bytes, 8448u);
-  EXPECT_EQ(rec->units, (std::vector<std::uint16_t>{1}));
+  EXPECT_EQ(rec->prefix, 1);
+}
+
+TEST(ProgressJournal, PrefixIsTheInOrderRunFromUnitOne) {
+  storage::Eeprom eeprom;
+  boot::ProgressJournal journal(eeprom);
+  // No unit 1: the identity is recovered, the prefix is empty.
+  ASSERT_TRUE(journal.append(7, 5632, 2));
+  ASSERT_TRUE(journal.append(7, 5632, 3));
+  ASSERT_TRUE(journal.recover().has_value());
+  EXPECT_EQ(journal.recover()->prefix, 0);
+  // 2, 3, 1, 3, 2: unit 1 starts the prefix, the later 2 extends it, and
+  // the 3 before that 2 does not count.
+  ASSERT_TRUE(journal.append(7, 5632, 1));
+  ASSERT_TRUE(journal.append(7, 5632, 3));
+  ASSERT_TRUE(journal.append(7, 5632, 2));
+  EXPECT_EQ(journal.recover()->prefix, 2);
 }
 
 TEST(ProgressJournal, RefusesWhenTheImageWouldOverlapTheTail) {
@@ -87,6 +102,11 @@ TEST(ProgressJournal, RefusesWhenTheImageWouldOverlapTheTail) {
   boot::ProgressJournal journal(eeprom);
   EXPECT_TRUE(journal.usable(journal.region_offset()));
   EXPECT_FALSE(journal.usable(journal.region_offset() + 1));
+  // append() refuses such an image itself.
+  const auto too_big = static_cast<std::uint32_t>(journal.region_offset() + 1);
+  EXPECT_FALSE(journal.append(7, too_big, 1));
+  EXPECT_FALSE(boot::ProgressJournal(small).append(7, 16, 1));
+  EXPECT_EQ(journal.entries(), 0u);
 }
 
 TEST(ProgressJournal, CorruptSlotEndsTheRecoveredRun) {
@@ -147,7 +167,7 @@ TEST(RebootResume, MnpNodeResumesFromJournaledSegments) {
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->program_id, kProgramId);
   EXPECT_EQ(rec->program_bytes, bytes);
-  EXPECT_EQ(rec->units, (std::vector<std::uint16_t>{1}));
+  EXPECT_EQ(rec->prefix, 1);
 
   sim.run_until(sim.now() + sim::sec(30));
   network.node(8).reboot();
@@ -228,7 +248,7 @@ TEST(RebootResume, MoapNodeJournalsChunksAndConverges) {
   const auto rec = journal.recover();
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->program_id, kProgramId);
-  EXPECT_EQ(rec->units.front(), 1);  // chunk 1 = packets [0, 64)
+  EXPECT_GE(rec->prefix, 1);  // chunk 1 = packets [0, 64)
 
   sim.run_until(sim.now() + sim::sec(30));
   network.node(1).reboot();

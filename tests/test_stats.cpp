@@ -64,17 +64,27 @@ TEST(StatsCollector, CompletionBookkeeping) {
   EXPECT_EQ(metrics.counter_node("node.completions", 0), 1u);
 }
 
-TEST(StatsCollector, SegmentCompletionGrowsVector) {
-  obs::MetricsRegistry metrics(1);
+TEST(StatsCollector, SegmentCompletionCountsEachUnitOnceInOrder) {
+  obs::MetricsRegistry metrics(2);
   StatsCollector stats(metrics);
-  stats.on_segment_completed(0, 3, sim::sec(30));
+  const auto count = [&metrics](net::NodeId id) {
+    return metrics.counter_node("node.segments_completed", id);
+  };
   stats.on_segment_completed(0, 1, sim::sec(10));
-  stats.on_segment_completed(0, 1, sim::sec(99));  // duplicate: ignored
-  const std::vector<sim::Time> v = stats.node(0).segment_completion;
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_EQ(v[0], sim::sec(10));
-  EXPECT_EQ(v[1], sim::kNever);
-  EXPECT_EQ(v[2], sim::sec(30));
+  stats.on_segment_completed(0, 1, sim::sec(11));  // duplicate: ignored
+  stats.on_segment_completed(0, 2, sim::sec(20));
+  stats.on_segment_completed(0, 0, sim::sec(21));  // no such unit
+  EXPECT_EQ(count(0), 2u);
+  EXPECT_EQ(count(1), 0u);
+  // A reboot that lost progress completes units 1 and 2 again; only the
+  // unit past them counts.
+  stats.on_segment_completed(0, 1, sim::sec(60));
+  stats.on_segment_completed(0, 2, sim::sec(70));
+  stats.on_segment_completed(0, 3, sim::sec(80));
+  EXPECT_EQ(count(0), 3u);
+  stats.on_segment_completed(1, 1, sim::sec(90));
+  EXPECT_EQ(count(1), 1u);
+  EXPECT_EQ(metrics.counter_total("node.segments_completed"), 4u);
 }
 
 TEST(StatsCollector, SenderOrderRecordsFirstForwardOnly) {

@@ -72,6 +72,21 @@ TEST(EventLog, NumericDetailFormatsInline) {
   EXPECT_EQ(events[1].detail, "18446744073709551615");
 }
 
+TEST(EventLog, TransitionDetailIsFromArrowTo) {
+  EventLog log;
+  log.record_transition(5, 3, "Download", "Advertise");
+  // Three parts that overflow the inline detail: truncated like any other.
+  log.record_transition(6, 3, std::string(20, 'a'), std::string(20, 'b'));
+  const auto events = log.for_node(3);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].time, 5);
+  EXPECT_EQ(events[0].kind, EventKind::kStateChange);
+  EXPECT_EQ(events[0].detail, "Download->Advertise");
+  EXPECT_EQ(events[1].detail,
+            std::string(20, 'a') + "->" +
+                std::string(EventLog::kInlineDetail - 22, 'b'));
+}
+
 TEST(EventLog, ZeroCapacityDiscardsEverything) {
   EventLog log(0);
   log.record(0, 0, EventKind::kNote);

@@ -1,6 +1,6 @@
 #include "boot/progress_journal.hpp"
 
-#include <vector>
+#include <array>
 
 #include "util/crc32.hpp"
 
@@ -11,22 +11,24 @@ namespace {
 // "PJ" — distinguishes a written slot from erased flash (zeros).
 constexpr std::uint16_t kMagic = 0x504A;
 
-void put_u16(std::vector<std::uint8_t>& out, std::size_t at, std::uint16_t v) {
+using Slot = std::array<std::uint8_t, ProgressJournal::kSlotBytes>;
+
+void put_u16(Slot& out, std::size_t at, std::uint16_t v) {
   out[at] = static_cast<std::uint8_t>(v & 0xFF);
   out[at + 1] = static_cast<std::uint8_t>(v >> 8);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::size_t at, std::uint32_t v) {
+void put_u32(Slot& out, std::size_t at, std::uint32_t v) {
   for (std::size_t i = 0; i < 4; ++i) {
     out[at + i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
   }
 }
 
-std::uint16_t get_u16(const std::vector<std::uint8_t>& in, std::size_t at) {
+std::uint16_t get_u16(const Slot& in, std::size_t at) {
   return static_cast<std::uint16_t>(in[at] | (in[at + 1] << 8));
 }
 
-std::uint32_t get_u32(const std::vector<std::uint8_t>& in, std::size_t at) {
+std::uint32_t get_u32(const Slot& in, std::size_t at) {
   std::uint32_t v = 0;
   for (std::size_t i = 0; i < 4; ++i) {
     v |= static_cast<std::uint32_t>(in[at + i]) << (8 * i);
@@ -38,9 +40,10 @@ std::uint32_t get_u32(const std::vector<std::uint8_t>& in, std::size_t at) {
 
 std::optional<ProgressJournal::Record> ProgressJournal::read_slot(
     std::size_t slot) {
-  const std::size_t at = region_offset() + slot * kSlotBytes;
-  const std::vector<std::uint8_t> raw = eeprom_.read(at, kSlotBytes);
-  if (raw.size() != kSlotBytes) return std::nullopt;
+  Slot raw{};
+  if (!eeprom_.read(region_offset() + slot * kSlotBytes, raw)) {
+    return std::nullopt;
+  }
   if (get_u16(raw, 0) != kMagic) return std::nullopt;
   if (util::crc32(raw.data(), 12) != get_u32(raw, 12)) return std::nullopt;
   Record rec;
@@ -59,7 +62,7 @@ bool ProgressJournal::append(std::uint16_t program_id,
   std::size_t slot = 0;
   while (slot < slot_count() && read_slot(slot)) ++slot;
   if (slot == slot_count()) return false;
-  std::vector<std::uint8_t> raw(kSlotBytes, 0);
+  Slot raw{};
   put_u16(raw, 0, kMagic);
   put_u16(raw, 2, program_id);
   put_u32(raw, 4, program_bytes);

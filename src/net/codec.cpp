@@ -1,31 +1,37 @@
 #include "net/codec.hpp"
 
+#include <array>
 #include <cstring>
+#include <variant>
 
 namespace mnp::net {
 
 namespace {
 
 // --- primitive writers/readers ---------------------------------------------
+//
+// One put/get overload per field type a message may declare (packet.hpp).
 
 class Writer {
  public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
+  void put(std::uint8_t v) { out_.push_back(v); }
+  void put(std::uint16_t v) {
     out_.push_back(static_cast<std::uint8_t>(v & 0xFF));
     out_.push_back(static_cast<std::uint8_t>(v >> 8));
   }
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v & 0xFFFF));
-    u16(static_cast<std::uint16_t>(v >> 16));
+  void put(std::uint32_t v) {
+    put(static_cast<std::uint16_t>(v & 0xFFFF));
+    put(static_cast<std::uint16_t>(v >> 16));
   }
-  void bytes(const std::uint8_t* data, std::size_t n) {
-    out_.insert(out_.end(), data, data + n);
-  }
-  void bitmap(const util::Bitmap& b) {
+  void put(bool v) { put(static_cast<std::uint8_t>(v ? 1 : 0)); }
+  void put(const util::Bitmap& b) {
+    put(static_cast<std::uint8_t>(b.size()));
     const auto raw = b.to_bytes();
-    u8(static_cast<std::uint8_t>(b.size()));
-    bytes(raw.data(), util::Bitmap::kMaxBytes);
+    out_.insert(out_.end(), raw.begin(), raw.end());
+  }
+  void put(const std::vector<std::uint8_t>& bytes) {
+    put(static_cast<std::uint8_t>(bytes.size()));
+    out_.insert(out_.end(), bytes.begin(), bytes.end());
   }
   std::vector<std::uint8_t>& out() { return out_; }
 
@@ -33,42 +39,51 @@ class Writer {
   std::vector<std::uint8_t> out_;
 };
 
+/// Bounds-checked reads. Each get() accepts only what put() writes, so an
+/// accepted frame re-encodes to the same bytes.
 class Reader {
  public:
   Reader(const std::uint8_t* data, std::size_t length)
       : data_(data), size_(length) {}
 
-  bool u8(std::uint8_t& v) {
+  bool get(std::uint8_t& v) {
     if (pos_ + 1 > size_) return false;
     v = data_[pos_++];
     return true;
   }
-  bool u16(std::uint16_t& v) {
+  bool get(std::uint16_t& v) {
     if (pos_ + 2 > size_) return false;
     v = static_cast<std::uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
     pos_ += 2;
     return true;
   }
-  bool u32(std::uint32_t& v) {
+  bool get(std::uint32_t& v) {
     std::uint16_t lo = 0, hi = 0;
-    if (!u16(lo) || !u16(hi)) return false;
+    if (!get(lo) || !get(hi)) return false;
     v = static_cast<std::uint32_t>(lo) | (static_cast<std::uint32_t>(hi) << 16);
     return true;
   }
-  bool take(std::size_t n, std::vector<std::uint8_t>& out) {
-    if (pos_ + n > size_) return false;
-    out.assign(data_ + pos_, data_ + pos_ + n);
-    pos_ += n;
+  bool get(bool& v) {
+    std::uint8_t byte = 0;
+    if (!get(byte) || byte > 1) return false;
+    v = byte == 1;
     return true;
   }
-  bool bitmap(util::Bitmap& b) {
+  bool get(util::Bitmap& b) {
     std::uint8_t size = 0;
-    if (!u8(size)) return false;
+    if (!get(size) || size > util::Bitmap::kMaxBits) return false;
     std::array<std::uint8_t, util::Bitmap::kMaxBytes> raw{};
     if (pos_ + raw.size() > size_) return false;
     std::memcpy(raw.data(), data_ + pos_, raw.size());
     pos_ += raw.size();
     b = util::Bitmap::from_bytes(raw, size);
+    return b.to_bytes() == raw;  // no bit set past `size`
+  }
+  bool get(std::vector<std::uint8_t>& bytes) {
+    std::uint8_t n = 0;
+    if (!get(n) || pos_ + n > size_) return false;
+    bytes.assign(data_ + pos_, data_ + pos_ + n);
+    pos_ += n;
     return true;
   }
   std::size_t remaining() const { return size_ - pos_; }
@@ -79,279 +94,21 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-// --- payload encoders -------------------------------------------------------
-
-struct EncodeVisitor {
-  Writer& w;
-
-  void operator()(const AdvertisementMsg& m) const {
-    w.u16(m.program_id);
-    w.u32(m.program_bytes);
-    w.u16(m.program_segments);
-    w.u16(m.seg_id);
-    w.u8(m.req_ctr);
-  }
-  void operator()(const DownloadRequestMsg& m) const {
-    w.u16(m.dest);
-    w.u16(m.program_id);
-    w.u16(m.seg_id);
-    w.u8(m.req_ctr_echo);
-    w.u16(m.window_base);
-    w.u8(m.request_all ? 1 : 0);
-    w.bitmap(m.missing);
-  }
-  void operator()(const StartDownloadMsg& m) const {
-    w.u16(m.program_id);
-    w.u16(m.seg_id);
-    w.u16(m.packet_count);
-  }
-  void operator()(const DataMsg& m) const {
-    w.u16(m.program_id);
-    w.u16(m.seg_id);
-    w.u16(m.pkt_id);
-    w.u8(static_cast<std::uint8_t>(m.payload.size()));
-    w.bytes(m.payload.data(), m.payload.size());
-  }
-  void operator()(const EndDownloadMsg& m) const { w.u16(m.seg_id); }
-  void operator()(const QueryMsg& m) const { w.u16(m.seg_id); }
-  void operator()(const RepairRequestMsg& m) const {
-    w.u16(m.dest);
-    w.u16(m.seg_id);
-    w.u16(m.pkt_id);
-  }
-  void operator()(const DelugeSummaryMsg& m) const {
-    w.u16(m.version);
-    w.u16(m.total_pages);
-    w.u16(m.complete_pages);
-    w.u32(m.program_bytes);
-  }
-  void operator()(const DelugeRequestMsg& m) const {
-    w.u16(m.dest);
-    w.u16(m.page);
-    w.bitmap(m.missing);
-  }
-  void operator()(const DelugeDataMsg& m) const {
-    w.u16(m.version);
-    w.u16(m.page);
-    w.u8(m.pkt_id);
-    w.u8(static_cast<std::uint8_t>(m.payload.size()));
-    w.bytes(m.payload.data(), m.payload.size());
-  }
-  void operator()(const MoapPublishMsg& m) const {
-    w.u16(m.version);
-    w.u16(m.total_packets);
-    w.u32(m.program_bytes);
-  }
-  void operator()(const MoapSubscribeMsg& m) const { w.u16(m.dest); }
-  void operator()(const MoapDataMsg& m) const {
-    w.u16(m.version);
-    w.u16(m.pkt_id);
-    w.u8(static_cast<std::uint8_t>(m.payload.size()));
-    w.bytes(m.payload.data(), m.payload.size());
-  }
-  void operator()(const MoapNackMsg& m) const {
-    w.u16(m.dest);
-    w.u16(m.pkt_id);
-  }
-  void operator()(const XnpDataMsg& m) const {
-    w.u16(m.pkt_id);
-    w.u16(m.total_packets);
-    w.u8(static_cast<std::uint8_t>(m.payload.size()));
-    w.bytes(m.payload.data(), m.payload.size());
-  }
-  void operator()(const XnpQueryMsg& m) const { w.u16(m.total_packets); }
-  void operator()(const XnpFixRequestMsg& m) const { w.u16(m.pkt_id); }
-  void operator()(const NcastAdvMsg& m) const {
-    w.u16(m.program_id);
-    w.u32(m.program_bytes);
-    w.u16(m.total_gens);
-    w.u16(m.complete_gens);
-    w.u8(m.gen_size);
-    w.u8(m.cur_rank);
-  }
-  void operator()(const NcastReqMsg& m) const {
-    w.u16(m.dest);
-    w.u16(m.gen);
-    w.u8(m.rank);
-  }
-  void operator()(const NcastCodedMsg& m) const {
-    w.u16(m.gen);
-    w.u16(m.coeff_seed);
-    w.u8(static_cast<std::uint8_t>(m.payload.size()));
-    w.bytes(m.payload.data(), m.payload.size());
-  }
-};
-
-// --- payload decoders -------------------------------------------------------
-
-bool decode_payload(PacketType type, Reader& r, Payload& out) {
-  switch (type) {
-    case PacketType::kAdvertisement: {
-      AdvertisementMsg m;
-      if (!r.u16(m.program_id) || !r.u32(m.program_bytes) ||
-          !r.u16(m.program_segments) || !r.u16(m.seg_id) || !r.u8(m.req_ctr)) {
-        return false;
-      }
-      out = m;
-      return true;
-    }
-    case PacketType::kDownloadRequest: {
-      DownloadRequestMsg m;
-      std::uint8_t all = 0;
-      if (!r.u16(m.dest) || !r.u16(m.program_id) || !r.u16(m.seg_id) ||
-          !r.u8(m.req_ctr_echo) || !r.u16(m.window_base) || !r.u8(all) ||
-          !r.bitmap(m.missing)) {
-        return false;
-      }
-      m.request_all = all != 0;
-      out = m;
-      return true;
-    }
-    case PacketType::kStartDownload: {
-      StartDownloadMsg m;
-      if (!r.u16(m.program_id) || !r.u16(m.seg_id) || !r.u16(m.packet_count)) {
-        return false;
-      }
-      out = m;
-      return true;
-    }
-    case PacketType::kData: {
-      DataMsg m;
-      std::uint8_t len = 0;
-      if (!r.u16(m.program_id) || !r.u16(m.seg_id) || !r.u16(m.pkt_id) ||
-          !r.u8(len) || !r.take(len, m.payload)) {
-        return false;
-      }
-      out = std::move(m);
-      return true;
-    }
-    case PacketType::kEndDownload: {
-      EndDownloadMsg m;
-      if (!r.u16(m.seg_id)) return false;
-      out = m;
-      return true;
-    }
-    case PacketType::kQuery: {
-      QueryMsg m;
-      if (!r.u16(m.seg_id)) return false;
-      out = m;
-      return true;
-    }
-    case PacketType::kRepairRequest: {
-      RepairRequestMsg m;
-      if (!r.u16(m.dest) || !r.u16(m.seg_id) || !r.u16(m.pkt_id)) return false;
-      out = m;
-      return true;
-    }
-    case PacketType::kDelugeSummary: {
-      DelugeSummaryMsg m;
-      if (!r.u16(m.version) || !r.u16(m.total_pages) ||
-          !r.u16(m.complete_pages) || !r.u32(m.program_bytes)) {
-        return false;
-      }
-      out = m;
-      return true;
-    }
-    case PacketType::kDelugeRequest: {
-      DelugeRequestMsg m;
-      if (!r.u16(m.dest) || !r.u16(m.page) || !r.bitmap(m.missing)) {
-        return false;
-      }
-      out = m;
-      return true;
-    }
-    case PacketType::kDelugeData: {
-      DelugeDataMsg m;
-      std::uint8_t len = 0;
-      if (!r.u16(m.version) || !r.u16(m.page) || !r.u8(m.pkt_id) ||
-          !r.u8(len) || !r.take(len, m.payload)) {
-        return false;
-      }
-      out = std::move(m);
-      return true;
-    }
-    case PacketType::kMoapPublish: {
-      MoapPublishMsg m;
-      if (!r.u16(m.version) || !r.u16(m.total_packets) ||
-          !r.u32(m.program_bytes)) {
-        return false;
-      }
-      out = m;
-      return true;
-    }
-    case PacketType::kMoapSubscribe: {
-      MoapSubscribeMsg m;
-      if (!r.u16(m.dest)) return false;
-      out = m;
-      return true;
-    }
-    case PacketType::kMoapData: {
-      MoapDataMsg m;
-      std::uint8_t len = 0;
-      if (!r.u16(m.version) || !r.u16(m.pkt_id) || !r.u8(len) ||
-          !r.take(len, m.payload)) {
-        return false;
-      }
-      out = std::move(m);
-      return true;
-    }
-    case PacketType::kMoapNack: {
-      MoapNackMsg m;
-      if (!r.u16(m.dest) || !r.u16(m.pkt_id)) return false;
-      out = m;
-      return true;
-    }
-    case PacketType::kXnpData: {
-      XnpDataMsg m;
-      std::uint8_t len = 0;
-      if (!r.u16(m.pkt_id) || !r.u16(m.total_packets) || !r.u8(len) ||
-          !r.take(len, m.payload)) {
-        return false;
-      }
-      out = std::move(m);
-      return true;
-    }
-    case PacketType::kXnpQuery: {
-      XnpQueryMsg m;
-      if (!r.u16(m.total_packets)) return false;
-      out = m;
-      return true;
-    }
-    case PacketType::kXnpFixRequest: {
-      XnpFixRequestMsg m;
-      if (!r.u16(m.pkt_id)) return false;
-      out = m;
-      return true;
-    }
-    case PacketType::kNcastAdv: {
-      NcastAdvMsg m;
-      if (!r.u16(m.program_id) || !r.u32(m.program_bytes) ||
-          !r.u16(m.total_gens) || !r.u16(m.complete_gens) ||
-          !r.u8(m.gen_size) || !r.u8(m.cur_rank)) {
-        return false;
-      }
-      out = m;
-      return true;
-    }
-    case PacketType::kNcastRequest: {
-      NcastReqMsg m;
-      if (!r.u16(m.dest) || !r.u16(m.gen) || !r.u8(m.rank)) return false;
-      out = m;
-      return true;
-    }
-    case PacketType::kNcastCoded: {
-      NcastCodedMsg m;
-      std::uint8_t len = 0;
-      if (!r.u16(m.gen) || !r.u16(m.coeff_seed) || !r.u8(len) ||
-          !r.take(len, m.payload)) {
-        return false;
-      }
-      out = std::move(m);
-      return true;
-    }
-  }
-  return false;
+/// Makes `out` an M and reads its fields in wire order.
+template <typename M>
+bool decode_as(Reader& r, Payload& out) {
+  M& m = out.emplace<M>();
+  return M::fields(m, [&r](auto&... field) { return (r.get(field) && ...); });
 }
+
+/// One decoder per Payload alternative, indexed by the wire type byte.
+template <typename Variant>
+struct Decoders;
+template <typename... M>
+struct Decoders<std::variant<M...>> {
+  static constexpr std::array<bool (*)(Reader&, Payload&), sizeof...(M)>
+      kByType{&decode_as<M>...};
+};
 
 }  // namespace
 
@@ -371,12 +128,16 @@ std::uint16_t crc16(const std::uint8_t* data, std::size_t length) {
 
 std::vector<std::uint8_t> encode(const Packet& pkt) {
   Writer w;
-  w.u16(pkt.logical_dest());
-  w.u16(pkt.src);
-  w.u8(static_cast<std::uint8_t>(pkt.type()));
-  std::visit(EncodeVisitor{w}, pkt.payload);
+  w.put(pkt.logical_dest());
+  w.put(pkt.src);
+  w.put(static_cast<std::uint8_t>(pkt.type()));
+  std::visit(
+      [&w](const auto& m) {
+        m.fields(m, [&w](const auto&... field) { (w.put(field), ...); });
+      },
+      pkt.payload);
   const std::uint16_t crc = crc16(w.out().data(), w.out().size());
-  w.u16(crc);
+  w.put(crc);
   return std::move(w.out());
 }
 
@@ -389,19 +150,16 @@ std::optional<Packet> decode(const std::uint8_t* frame, std::size_t length) {
   // Parse the body in place (everything before the CRC trailer).
   Reader r(frame, length - 2);
   std::uint16_t dest = 0, src = 0;
-  std::uint8_t type_raw = 0;
-  if (!r.u16(dest) || !r.u16(src) || !r.u8(type_raw)) return std::nullopt;
-  if (type_raw > static_cast<std::uint8_t>(PacketType::kNcastCoded)) {
-    return std::nullopt;
-  }
+  std::uint8_t type = 0;
+  if (!r.get(dest) || !r.get(src) || !r.get(type)) return std::nullopt;
+  if (type >= kPacketTypeCount) return std::nullopt;
   Packet pkt;
   pkt.src = src;
-  if (!decode_payload(static_cast<PacketType>(type_raw), r, pkt.payload)) {
-    return std::nullopt;
-  }
+  if (!Decoders<Payload>::kByType[type](r, pkt.payload)) return std::nullopt;
   if (r.remaining() != 0) return std::nullopt;  // trailing garbage
-  // `dest` is redundant with the payload's own dest field (when present);
-  // nothing further to restore.
+  // The header repeats the payload's own dest (broadcast when it has
+  // none); a frame where the two disagree is not one encode() writes.
+  if (dest != pkt.logical_dest()) return std::nullopt;
   return pkt;
 }
 

@@ -3,10 +3,18 @@
 // The simulator passes Packet values around directly (no marshalling on
 // the hot path), but the on-air format is real: encode() produces the MAC
 // frame a Mica-2 would transmit — header, typed payload, CRC — and
-// decode() parses and validates it. wire_bytes() is defined as
-// kFramingBytes-worth of physical overhead plus the payload encoding
-// produced here, and the codec tests pin those sizes to the actual
-// encoders so the airtime model can never drift from the format.
+// decode() parses and validates it. Both walk each message's one field
+// list (packet.hpp), and the airtime model's size is exact relative to
+// the frame:
+//   encode(p).size() == p.wire_bytes() - kPhysicalOnlyBytes + k,
+// where k counts p's bitmap and byte-vector fields, whose size and length
+// bytes wire_bytes() leaves out.
+//
+// decode() accepts only canonical frames: every frame it accepts
+// re-encodes to the same bytes. Besides truncation, trailing bytes, an
+// unknown type and a CRC mismatch, it rejects a header dest that differs
+// from the payload's (broadcast for a message without one), a bitmap size
+// above 128 or with bits set past it, and a bool byte other than 0 or 1.
 //
 // Frame layout (little-endian):
 //   [dest u16][src u16][type u8][payload bytes][crc16]
@@ -28,9 +36,9 @@ inline constexpr std::size_t kPhysicalOnlyBytes = 8 + 2;  // preamble + sync
 /// Serializes `pkt` into a transmittable frame.
 std::vector<std::uint8_t> encode(const Packet& pkt);
 
-/// Parses a frame; returns std::nullopt on truncation, unknown type, or
-/// CRC mismatch. power_scale is link metadata, not wire content, so the
-/// decoded packet always carries the default 1.0. Span-style: callers
+/// Parses a frame; returns std::nullopt for any frame encode() does not
+/// produce (see above). power_scale is link metadata, not wire content, so
+/// the decoded packet always carries the default 1.0. Span-style: callers
 /// holding pooled or borrowed buffers decode in place, no vector needed.
 std::optional<Packet> decode(const std::uint8_t* frame, std::size_t length);
 

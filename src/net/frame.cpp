@@ -1,6 +1,6 @@
 #include "net/frame.hpp"
 
-#include <concepts>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -19,8 +19,7 @@ namespace {
 void reclaim_payload(FramePoolState& state, Packet& pkt) {
   std::visit(
       [&state](auto& msg) {
-        using Bytes = std::vector<std::uint8_t>;
-        if constexpr (requires { { msg.payload } -> std::same_as<Bytes&>; }) {
+        if constexpr (CarriesPayload<std::remove_cvref_t<decltype(msg)>>) {
           if (msg.payload.capacity() > 0) {
             msg.payload.clear();
             state.free_payloads.push_back(std::move(msg.payload));

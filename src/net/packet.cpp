@@ -1,104 +1,51 @@
 #include "net/packet.hpp"
 
+#include <type_traits>
+
 namespace mnp::net {
-
-const char* type_name(PacketType type) {
-  switch (type) {
-    case PacketType::kAdvertisement: return "Advertisement";
-    case PacketType::kDownloadRequest: return "DownloadRequest";
-    case PacketType::kStartDownload: return "StartDownload";
-    case PacketType::kData: return "Data";
-    case PacketType::kEndDownload: return "EndDownload";
-    case PacketType::kQuery: return "Query";
-    case PacketType::kRepairRequest: return "RepairRequest";
-    case PacketType::kDelugeSummary: return "DelugeSummary";
-    case PacketType::kDelugeRequest: return "DelugeRequest";
-    case PacketType::kDelugeData: return "DelugeData";
-    case PacketType::kMoapPublish: return "MoapPublish";
-    case PacketType::kMoapSubscribe: return "MoapSubscribe";
-    case PacketType::kMoapData: return "MoapData";
-    case PacketType::kMoapNack: return "MoapNack";
-    case PacketType::kXnpData: return "XnpData";
-    case PacketType::kXnpQuery: return "XnpQuery";
-    case PacketType::kXnpFixRequest: return "XnpFixRequest";
-    case PacketType::kNcastAdv: return "NcastAdv";
-    case PacketType::kNcastRequest: return "NcastRequest";
-    case PacketType::kNcastCoded: return "NcastCoded";
-  }
-  return "Unknown";
-}
-
-std::string to_string(PacketType type) { return type_name(type); }
-
-bool is_bulk_data(PacketType type) {
-  switch (type) {
-    case PacketType::kData:
-    case PacketType::kDelugeData:
-    case PacketType::kMoapData:
-    case PacketType::kXnpData:
-    case PacketType::kNcastCoded:
-      return true;
-    default:
-      return false;
-  }
-}
-
 namespace {
-struct TypeVisitor {
-  PacketType operator()(const AdvertisementMsg&) const { return PacketType::kAdvertisement; }
-  PacketType operator()(const DownloadRequestMsg&) const { return PacketType::kDownloadRequest; }
-  PacketType operator()(const StartDownloadMsg&) const { return PacketType::kStartDownload; }
-  PacketType operator()(const DataMsg&) const { return PacketType::kData; }
-  PacketType operator()(const EndDownloadMsg&) const { return PacketType::kEndDownload; }
-  PacketType operator()(const QueryMsg&) const { return PacketType::kQuery; }
-  PacketType operator()(const RepairRequestMsg&) const { return PacketType::kRepairRequest; }
-  PacketType operator()(const DelugeSummaryMsg&) const { return PacketType::kDelugeSummary; }
-  PacketType operator()(const DelugeRequestMsg&) const { return PacketType::kDelugeRequest; }
-  PacketType operator()(const DelugeDataMsg&) const { return PacketType::kDelugeData; }
-  PacketType operator()(const MoapPublishMsg&) const { return PacketType::kMoapPublish; }
-  PacketType operator()(const MoapSubscribeMsg&) const { return PacketType::kMoapSubscribe; }
-  PacketType operator()(const MoapDataMsg&) const { return PacketType::kMoapData; }
-  PacketType operator()(const MoapNackMsg&) const { return PacketType::kMoapNack; }
-  PacketType operator()(const XnpDataMsg&) const { return PacketType::kXnpData; }
-  PacketType operator()(const XnpQueryMsg&) const { return PacketType::kXnpQuery; }
-  PacketType operator()(const XnpFixRequestMsg&) const { return PacketType::kXnpFixRequest; }
-  PacketType operator()(const NcastAdvMsg&) const { return PacketType::kNcastAdv; }
-  PacketType operator()(const NcastReqMsg&) const { return PacketType::kNcastRequest; }
-  PacketType operator()(const NcastCodedMsg&) const { return PacketType::kNcastCoded; }
-};
 
-struct DestVisitor {
-  NodeId operator()(const DownloadRequestMsg& m) const { return m.dest; }
-  NodeId operator()(const RepairRequestMsg& m) const { return m.dest; }
-  NodeId operator()(const DelugeRequestMsg& m) const { return m.dest; }
-  NodeId operator()(const MoapSubscribeMsg& m) const { return m.dest; }
-  NodeId operator()(const MoapNackMsg& m) const { return m.dest; }
-  NodeId operator()(const NcastReqMsg& m) const { return m.dest; }
-  template <typename T>
-  NodeId operator()(const T&) const {
-    return kBroadcastId;
+/// Modelled on-air bytes of one field. A bitmap's size byte and a byte
+/// vector's length byte are not modelled, so the codec's frame is longer
+/// by one byte per such field (codec.hpp states the exact relation).
+template <typename T>
+std::size_t modelled_bytes(const T& field) {
+  if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
+    return field.size();
+  } else if constexpr (std::is_same_v<T, util::Bitmap>) {
+    return util::Bitmap::kMaxBytes;
+  } else {
+    static_assert(std::is_same_v<T, bool> || std::is_same_v<T, std::uint8_t> ||
+                      std::is_same_v<T, std::uint16_t> ||
+                      std::is_same_v<T, std::uint32_t>,
+                  "a wire field is a bool, uint8/16/32, Bitmap or byte vector");
+    return std::is_same_v<T, bool> ? 1 : sizeof(T);
   }
-};
+}
 
-struct SizeVisitor {
-  std::size_t operator()(const DataMsg& m) const { return m.wire_bytes(); }
-  std::size_t operator()(const DelugeDataMsg& m) const { return m.wire_bytes(); }
-  std::size_t operator()(const MoapDataMsg& m) const { return m.wire_bytes(); }
-  std::size_t operator()(const XnpDataMsg& m) const { return m.wire_bytes(); }
-  std::size_t operator()(const NcastCodedMsg& m) const { return m.wire_bytes(); }
-  template <typename T>
-  std::size_t operator()(const T&) const {
-    return T::kWireBytes;
-  }
-};
 }  // namespace
 
-PacketType Packet::type() const { return std::visit(TypeVisitor{}, payload); }
-
-NodeId Packet::logical_dest() const { return std::visit(DestVisitor{}, payload); }
+NodeId Packet::logical_dest() const {
+  return std::visit(
+      [](const auto& m) -> NodeId {
+        if constexpr (requires { m.dest; }) {
+          return m.dest;
+        } else {
+          return kBroadcastId;
+        }
+      },
+      payload);
+}
 
 std::size_t Packet::wire_bytes() const {
-  return kFramingBytes + std::visit(SizeVisitor{}, payload);
+  return kFramingBytes +
+         std::visit(
+             [](const auto& m) {
+               return m.fields(m, [](const auto&... field) {
+                 return (modelled_bytes(field) + ...);
+               });
+             },
+             payload);
 }
 
 }  // namespace mnp::net

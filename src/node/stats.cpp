@@ -22,33 +22,6 @@ std::uint64_t NodeStats::received_of(net::PacketType t) const {
   return received[static_cast<std::size_t>(t)];
 }
 
-MsgClass classify(net::PacketType t) {
-  using net::PacketType;
-  switch (t) {
-    case PacketType::kAdvertisement:
-    case PacketType::kDelugeSummary:
-    case PacketType::kMoapPublish:
-    case PacketType::kNcastAdv:
-      return MsgClass::kAdvertisement;
-    case PacketType::kDownloadRequest:
-    case PacketType::kRepairRequest:
-    case PacketType::kDelugeRequest:
-    case PacketType::kMoapSubscribe:
-    case PacketType::kMoapNack:
-    case PacketType::kXnpFixRequest:
-    case PacketType::kNcastRequest:
-      return MsgClass::kRequest;
-    case PacketType::kData:
-    case PacketType::kDelugeData:
-    case PacketType::kMoapData:
-    case PacketType::kXnpData:
-    case PacketType::kNcastCoded:
-      return MsgClass::kData;
-    default:
-      return MsgClass::kOther;
-  }
-}
-
 StatsCollector::StatsCollector(obs::MetricsRegistry& metrics)
     : metrics_(metrics),
       m_completions_(metrics.register_counter("node.completions",
@@ -68,18 +41,19 @@ NodeStats StatsCollector::node(net::NodeId id) const {
 
 void StatsCollector::on_transmit(net::NodeId src, const net::Packet& pkt,
                                  sim::Time now) {
+  const net::PacketType type = pkt.type();
   if (src < nodes_.size()) {
-    ++nodes_[src].sent[static_cast<std::size_t>(pkt.type())];
+    ++nodes_[src].sent[static_cast<std::size_t>(type)];
   }
   const std::int64_t minute = now / sim::minutes(1);
   if (current_row_ == nullptr || minute != current_minute_) {
     current_row_ = &timeline_[minute];  // map nodes never move
     current_minute_ = minute;
   }
-  ++(*current_row_)[static_cast<std::size_t>(classify(pkt.type()))];
+  ++(*current_row_)[static_cast<std::size_t>(net::classify(type))];
   if (event_log_) {
     event_log_->record(now, src, trace::EventKind::kPacketSent,
-                       std::string_view(net::type_name(pkt.type())));
+                       std::string_view(net::type_name(type)));
   }
 }
 

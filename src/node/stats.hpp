@@ -38,10 +38,6 @@ struct NodeStats {
   std::uint64_t received_of(net::PacketType t) const;
 };
 
-/// Message categories for the Fig.-12 per-minute timeline.
-enum class MsgClass : std::size_t { kAdvertisement = 0, kRequest = 1, kData = 2, kOther = 3 };
-MsgClass classify(net::PacketType t);
-
 class StatsCollector final : public net::ChannelObserver {
  public:
   /// Tracks `metrics.node_count()` nodes and registers the node.* counters
@@ -95,7 +91,7 @@ class StatsCollector final : public net::ChannelObserver {
   const std::vector<net::NodeId>& sender_order() const { return sender_order_; }
 
   /// Per-minute transmitted-message counts by class (Fig. 12).
-  /// timeline()[minute][class]; trailing minutes may be absent.
+  /// timeline()[minute][net::MsgClass]; trailing minutes may be absent.
   const std::map<std::int64_t, std::array<std::uint64_t, 4>>& timeline() const {
     return timeline_;
   }

@@ -31,8 +31,8 @@ Eeprom::Eeprom(std::size_t capacity, energy::EnergyMeter* meter)
       pages_((capacity + kPageBytes - 1) / kPageBytes),
       meter_(meter) {}
 
-bool Eeprom::write(std::size_t offset, const std::vector<std::uint8_t>& bytes) {
-  if (offset > capacity_ || bytes.size() > capacity_ - offset) return false;
+bool Eeprom::write(std::size_t offset, std::span<const std::uint8_t> bytes) {
+  if (!fits(offset, bytes.size())) return false;
   bool overlapped = false;
   const std::uint8_t* src = bytes.data();
   for (std::size_t done = 0; done < bytes.size();) {
@@ -53,6 +53,27 @@ bool Eeprom::write(std::size_t offset, const std::vector<std::uint8_t>& bytes) {
   return true;
 }
 
+bool Eeprom::read(std::size_t offset, std::span<std::uint8_t> out) {
+  if (!fits(offset, out.size())) return false;
+  ++total_reads_;
+  if (meter_) meter_->count_eeprom_read(out.size());
+  std::uint8_t* dst = out.data();
+  for (std::size_t done = 0; done < out.size();) {
+    const std::size_t pos = offset + done;
+    const std::size_t in_page = pos % kPageBytes;
+    const std::size_t run = std::min(kPageBytes - in_page, out.size() - done);
+    const Page* page = pages_[pos / kPageBytes].get();
+    // std::copy, not memcpy: see write().
+    if (page) {
+      std::copy(page->data + in_page, page->data + in_page + run, dst + done);
+    } else {
+      std::fill(dst + done, dst + done + run, std::uint8_t{0});
+    }
+    done += run;
+  }
+  return true;
+}
+
 std::vector<std::uint8_t> Eeprom::read(std::size_t offset, std::size_t length) {
   std::vector<std::uint8_t> out;
   read_into(offset, length, out);
@@ -62,22 +83,9 @@ std::vector<std::uint8_t> Eeprom::read(std::size_t offset, std::size_t length) {
 void Eeprom::read_into(std::size_t offset, std::size_t length,
                        std::vector<std::uint8_t>& out) {
   out.clear();
-  if (offset > capacity_ || length > capacity_ - offset) return;
-  ++total_reads_;
-  if (meter_) meter_->count_eeprom_read(length);
-  out.reserve(length);
-  for (std::size_t pos = offset, end = offset + length; pos < end;) {
-    const std::size_t in_page = pos % kPageBytes;
-    const std::size_t run = std::min(kPageBytes - in_page, end - pos);
-    const Page* page = pages_[pos / kPageBytes].get();
-    // vector::insert, not memcpy: see write().
-    if (page) {
-      out.insert(out.end(), page->data + in_page, page->data + in_page + run);
-    } else {
-      out.insert(out.end(), run, std::uint8_t{0});
-    }
-    pos += run;
-  }
+  if (!fits(offset, length)) return;
+  out.resize(length);
+  if (!read(offset, out)) out.clear();
 }
 
 void Eeprom::erase() {

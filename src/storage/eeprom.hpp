@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "energy/energy_meter.hpp"
@@ -34,7 +35,14 @@ class Eeprom {
 
   /// Writes `bytes` at `offset`. Returns false (and writes nothing) if the
   /// range falls outside capacity.
-  bool write(std::size_t offset, const std::vector<std::uint8_t>& bytes);
+  bool write(std::size_t offset, std::span<const std::uint8_t> bytes);
+  bool write(std::size_t offset, const std::vector<std::uint8_t>& bytes) {
+    return write(offset, std::span<const std::uint8_t>(bytes));
+  }
+
+  /// Fills `out` with the `out.size()` bytes at `offset`. Returns false
+  /// (and reads nothing) if the range falls outside capacity.
+  [[nodiscard]] bool read(std::size_t offset, std::span<std::uint8_t> out);
 
   /// Reads `length` bytes at `offset` into a fresh vector; empty on a
   /// range error.
@@ -66,6 +74,11 @@ class Eeprom {
   std::size_t resident_pages() const;
 
  private:
+  /// True when [offset, offset + n) lies within capacity.
+  bool fits(std::size_t offset, std::size_t n) const {
+    return offset <= capacity_ && n <= capacity_ - offset;
+  }
+
   struct Page {
     std::uint8_t data[kPageBytes];
     std::uint64_t written[kPageBytes / 64];  // one write mark per byte

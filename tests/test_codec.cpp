@@ -1,8 +1,15 @@
-// Wire codec tests: every packet type round-trips byte-exactly, corrupt
-// frames are rejected, and the airtime model's wire sizes stay honest
-// relative to the real encoding.
+// Wire codec tests: every packet type round-trips byte-exactly and
+// encodes to its golden frame, corrupt and non-canonical frames are
+// rejected, and the airtime model's wire sizes relate exactly to the real
+// encoding.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <initializer_list>
+#include <random>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/codec.hpp"
@@ -30,6 +37,100 @@ const T& round_trip(const Packet& pkt) {
   const T* typed = decoded.as<T>();
   EXPECT_NE(typed, nullptr);
   return *typed;
+}
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  std::string out;
+  char byte[3];
+  for (std::uint8_t b : bytes) {
+    std::snprintf(byte, sizeof(byte), "%02x", b);
+    out += byte;
+  }
+  return out;
+}
+
+/// Recomputes the CRC trailer so only the codec's own checks can reject
+/// an edited frame.
+void reseal(std::vector<std::uint8_t>& frame) {
+  const std::uint16_t crc = crc16(frame.data(), frame.size() - 2);
+  frame[frame.size() - 2] = static_cast<std::uint8_t>(crc & 0xFF);
+  frame[frame.size() - 1] = static_cast<std::uint8_t>(crc >> 8);
+}
+
+util::Bitmap bits(std::size_t size, std::initializer_list<std::size_t> set) {
+  util::Bitmap b(size);
+  for (std::size_t i : set) b.set(i);
+  return b;
+}
+
+struct Golden {
+  Packet pkt;
+  std::string hex;
+};
+
+/// One non-default sample per message type, in PacketType order, and its
+/// frame. Every field holds a distinct value, so the hex pins the byte
+/// layout — field order, widths, the length and size bytes — which a
+/// round trip through the one shared field list cannot catch.
+std::vector<Golden> golden_frames() {
+  const std::pair<Payload, const char*> rows[] = {
+      {AdvertisementMsg{0x1111, 0x22223333, 0x4444, 0x5555, 0x66},
+       "ffff0201001111333322224444555566a356"},
+      {DownloadRequestMsg{0x0A0B, 0x1111, 0x2222, 0x33, 0x4444, true,
+                          bits(100, {0, 77, 99})},
+       "0b0a0201010b0a111122223344440164010000000000000000200000080000003d6d"},
+      {StartDownloadMsg{0x1111, 0x2222, 0x3333}, "ffff0201021111222233330e74"},
+      {DataMsg{0x1111, 0x2222, 0x3333, {0xA1, 0xA2, 0xA3}},
+       "ffff02010311112222333303a1a2a329a4"},
+      {EndDownloadMsg{0x1111}, "ffff0201041111a5dc"},
+      {QueryMsg{0x1111}, "ffff020105111195eb"},
+      {RepairRequestMsg{0x0A0B, 0x1111, 0x2222}, "0b0a0201060b0a11112222c342"},
+      {DelugeSummaryMsg{0x1111, 0x2222, 0x3333, 0x44445555},
+       "ffff0201071111222233335555444483af"},
+      {DelugeRequestMsg{0x0A0B, 0x1111, bits(48, {1, 47})},
+       "0b0a0201080b0a111130020000000080000000000000000000009b44"},
+      {DelugeDataMsg{0x1111, 0x2222, 0x33, {0xA1, 0xA2}},
+       "ffff020109111122223302a1a29a68"},
+      {MoapPublishMsg{0x1111, 0x2222, 0x33334444},
+       "ffff02010a11112222444433339a14"},
+      {MoapSubscribeMsg{0x0A0B}, "0b0a02010b0b0a9583"},
+      {MoapDataMsg{0x1111, 0x2222, {0xA1}}, "ffff02010c1111222201a18a86"},
+      {MoapNackMsg{0x0A0B, 0x1111}, "0b0a02010d0b0a11110062"},
+      {XnpDataMsg{0x1111, 0x2222, {0xA1, 0xA2, 0xA3, 0xA4}},
+       "ffff02010e1111222204a1a2a3a4cbee"},
+      {XnpQueryMsg{0x1111}, "ffff02010f1111542c"},
+      {XnpFixRequestMsg{0x1111}, "ffff02011011110643"},
+      {NcastAdvMsg{0x1111, 0x22223333, 0x4444, 0x5555, 0x66, 0x77},
+       "ffff02011111113333222244445555667794c4"},
+      {NcastReqMsg{0x0A0B, 0x1111, 0x22}, "0b0a0201120b0a1111224397"},
+      {NcastCodedMsg{0x1111, 0x2222, {0xA1, 0xA2, 0xA3}},
+       "ffff0201131111222203a1a2a3ab59"},
+  };
+  std::vector<Golden> out;
+  for (const auto& [msg, frame] : rows) out.push_back({make(msg, 0x0102), frame});
+  return out;
+}
+
+/// The golden sample frame of one type.
+std::vector<std::uint8_t> sample_frame(PacketType type) {
+  return encode(golden_frames().at(static_cast<std::size_t>(type)).pkt);
+}
+
+/// Bitmaps and byte vectors: fields with a size or length byte on the
+/// wire that wire_bytes() does not model.
+template <typename T>
+constexpr bool kPrefixed = std::is_same_v<T, util::Bitmap> ||
+                           std::is_same_v<T, std::vector<std::uint8_t>>;
+
+std::size_t prefixed_fields(const Packet& pkt) {
+  return std::visit(
+      [](const auto& m) {
+        return m.fields(m, [](const auto&... field) {
+          return (std::size_t{0} + ... +
+                  kPrefixed<std::remove_cvref_t<decltype(field)>>);
+        });
+      },
+      pkt.payload);
 }
 
 TEST(Codec, Advertisement) {
@@ -186,11 +287,102 @@ TEST(Codec, CorruptFramesRejected) {
 TEST(Codec, UnknownTypeRejected) {
   auto frame = encode(make(AdvertisementMsg{}));
   frame[4] = 0xEE;  // type byte
-  // Fix up the CRC so only the type check can reject it.
-  const std::uint16_t crc = crc16(frame.data(), frame.size() - 2);
-  frame[frame.size() - 2] = static_cast<std::uint8_t>(crc & 0xFF);
-  frame[frame.size() - 1] = static_cast<std::uint8_t>(crc >> 8);
+  reseal(frame);
   EXPECT_FALSE(decode(frame).has_value());
+  frame[4] = static_cast<std::uint8_t>(kPacketTypeCount);  // first unused
+  reseal(frame);
+  EXPECT_FALSE(decode(frame).has_value());
+}
+
+TEST(Codec, GoldenFrames) {
+  const std::vector<Golden> golden = golden_frames();
+  ASSERT_EQ(golden.size(), kPacketTypeCount) << "one sample per type";
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    const Golden& g = golden[i];
+    ASSERT_EQ(g.pkt.type(), static_cast<PacketType>(i)) << "rows out of order";
+    const auto frame = encode(g.pkt);
+    EXPECT_EQ(hex(frame), g.hex) << to_string(g.pkt.type());
+    const auto decoded = decode(frame);
+    ASSERT_TRUE(decoded.has_value()) << to_string(g.pkt.type());
+    EXPECT_EQ(decoded->src, g.pkt.src);
+    EXPECT_EQ(decoded->type(), g.pkt.type());
+    EXPECT_EQ(hex(encode(*decoded)), g.hex) << to_string(g.pkt.type());
+  }
+}
+
+// decode() accepts only frames encode() writes. One test per kind of
+// frame that once decoded and re-encoded to other bytes.
+TEST(Codec, HeaderDestMustMatchThePayload) {
+  auto req = sample_frame(PacketType::kDownloadRequest);
+  ASSERT_TRUE(decode(req).has_value());
+  req[0] = 0x0C;  // header says 0x0A0C, payload says 0x0A0B
+  reseal(req);
+  EXPECT_FALSE(decode(req).has_value());
+
+  auto adv = sample_frame(PacketType::kAdvertisement);
+  adv[0] = 0x05;  // no payload dest: the header must be broadcast
+  adv[1] = 0x00;
+  reseal(adv);
+  EXPECT_FALSE(decode(adv).has_value());
+}
+
+TEST(Codec, BitmapSizeAboveMaxRejected) {
+  auto frame = sample_frame(PacketType::kDownloadRequest);
+  constexpr std::size_t kSizeByte = 15;
+  ASSERT_EQ(frame[kSizeByte], 100);
+  frame[kSizeByte] = util::Bitmap::kMaxBits;
+  reseal(frame);
+  EXPECT_TRUE(decode(frame).has_value());
+  frame[kSizeByte] = util::Bitmap::kMaxBits + 1;
+  reseal(frame);
+  EXPECT_FALSE(decode(frame).has_value());
+}
+
+TEST(Codec, BitmapBitsPastItsSizeRejected) {
+  auto frame = sample_frame(PacketType::kDelugeRequest);
+  ASSERT_EQ(frame[9], 48);  // size byte; bits 48..55 live in frame[16]
+  frame[16] = 0x01;
+  reseal(frame);
+  EXPECT_FALSE(decode(frame).has_value());
+}
+
+TEST(Codec, BoolByteMustBeZeroOrOne) {
+  auto frame = sample_frame(PacketType::kDownloadRequest);
+  constexpr std::size_t kRequestAll = 14;
+  ASSERT_EQ(frame[kRequestAll], 1);
+  frame[kRequestAll] = 0;
+  reseal(frame);
+  EXPECT_TRUE(decode(frame).has_value());
+  frame[kRequestAll] = 2;
+  reseal(frame);
+  EXPECT_FALSE(decode(frame).has_value());
+}
+
+TEST(Codec, AcceptedMutantsReencodeToThemselves) {
+  // Fixed-seed mutations of every type's sample frame: 1-3 random bytes
+  // before the trailer, CRC recomputed. Whatever decode() accepts must be
+  // exactly what encode() writes for the decoded packet.
+  std::mt19937 rng(25);
+  std::size_t accepted = 0, rejected = 0;
+  for (const Golden& g : golden_frames()) {
+    const auto frame = encode(g.pkt);
+    for (int trial = 0; trial < 2000; ++trial) {
+      auto mutant = frame;
+      for (std::uint32_t n = 1 + rng() % 3; n > 0; --n) {
+        mutant[rng() % (mutant.size() - 2)] = static_cast<std::uint8_t>(rng());
+      }
+      reseal(mutant);
+      const auto decoded = decode(mutant);
+      if (!decoded) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      ASSERT_EQ(hex(encode(*decoded)), hex(mutant)) << "mutant of " << g.hex;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(Codec, SpanDecodeMatchesVectorDecode) {
@@ -224,25 +416,13 @@ TEST(Codec, Crc16KnownVector) {
 }
 
 TEST(Codec, WireSizeModelMatchesEncoding) {
-  // wire_bytes() = preamble/sync (10, physical only) + frame bytes. The
-  // codec adds small explicit length/size fields the abstract model folds
-  // into its header estimate, so the encoded frame must agree with the
-  // model within a couple of bytes — enough to keep airtime honest.
-  const Packet samples[] = {
-      make(AdvertisementMsg{}),  make(DownloadRequestMsg{}),
-      make(StartDownloadMsg{}),  make(EndDownloadMsg{}),
-      make(QueryMsg{}),          make(RepairRequestMsg{}),
-      make(DelugeSummaryMsg{}),  make(DelugeRequestMsg{}),
-      make(MoapPublishMsg{}),    make(MoapSubscribeMsg{}),
-      make(MoapNackMsg{}),       make(XnpQueryMsg{}),
-      make(XnpFixRequestMsg{}),
-  };
-  for (const Packet& pkt : samples) {
-    const auto frame = encode(pkt);
-    const std::size_t modelled = pkt.wire_bytes() - kPhysicalOnlyBytes;
-    EXPECT_NEAR(static_cast<double>(frame.size()),
-                static_cast<double>(modelled), 2.0)
-        << to_string(pkt.type());
+  // wire_bytes() = preamble/sync (10, physical only) + frame bytes, less
+  // the one size or length byte of each bitmap and byte-vector field.
+  for (const Golden& g : golden_frames()) {
+    const auto frame = encode(g.pkt);
+    EXPECT_EQ(frame.size(), g.pkt.wire_bytes() - kPhysicalOnlyBytes +
+                                prefixed_fields(g.pkt))
+        << to_string(g.pkt.type());
   }
 }
 

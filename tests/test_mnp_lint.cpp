@@ -407,83 +407,7 @@ TEST(Hygiene, FlagsRawAllocationOutsideThePool) {
   EXPECT_TRUE(lint::check_hygiene(deleted, allow).empty());
 }
 
-// --- rule family 4: codec symmetry ------------------------------------------
-
-TEST(CodecSymmetry, AcceptsMatchingWriterAndReaderSequences) {
-  const lint::SourceFile file{
-      "src/net/codec.cpp",
-      "void EncodeVisitor::operator()(const AdvMsg& m) const {\n"
-      "  w.u8(m.program_id);\n"
-      "  w.u16(m.segment);\n"
-      "  w.bitmap(m.missing);\n"
-      "}\n"
-      "bool decode_payload(Reader& r, Packet& out) {\n"
-      "  AdvMsg m;\n"
-      "  return r.u8(m.program_id) && r.u16(m.segment) && r.bitmap(m.missing);\n"
-      "}\n"};
-  const auto diags = lint::check_codec_symmetry(file);
-  EXPECT_TRUE(diags.empty()) << diags_str(diags);
-}
-
-TEST(CodecSymmetry, FlagsFieldWidthMismatch) {
-  // The seeded bug: encoder writes u16 where the decoder reads u32 — the
-  // wire format silently desynchronizes on every later field.
-  const lint::SourceFile file{
-      "src/net/codec.cpp",
-      "void EncodeVisitor::operator()(const ReqMsg& m) const {\n"
-      "  w.u8(m.seg);\n"
-      "  w.u16(m.source);\n"
-      "}\n"
-      "bool decode_payload(Reader& r, Packet& out) {\n"
-      "  ReqMsg m;\n"
-      "  return r.u8(m.seg) && r.u32(m.source);\n"
-      "}\n"};
-  const auto diags = lint::check_codec_symmetry(file);
-  EXPECT_TRUE(has_diag(diags, "codec-symmetry",
-                       "field 2: encoder writes u16"))
-      << diags_str(diags);
-}
-
-TEST(CodecSymmetry, FlagsFieldCountMismatch) {
-  const lint::SourceFile file{
-      "src/net/codec.cpp",
-      "void EncodeVisitor::operator()(const DataMsg& m) const {\n"
-      "  w.u8(m.seg);\n"
-      "  w.u16(m.offset);\n"
-      "  w.bytes(m.payload);\n"
-      "}\n"
-      "bool decode_payload(Reader& r, Packet& out) {\n"
-      "  DataMsg m;\n"
-      "  return r.u8(m.seg) && r.u16(m.offset);\n"  // forgot the payload
-      "}\n"};
-  const auto diags = lint::check_codec_symmetry(file);
-  EXPECT_TRUE(has_diag(diags, "codec-symmetry",
-                       "encoder writes 3 fields but decoder reads 2"))
-      << diags_str(diags);
-}
-
-TEST(CodecSymmetry, FlagsOneSidedMessages) {
-  const lint::SourceFile file{
-      "src/net/codec.cpp",
-      "void EncodeVisitor::operator()(const PingMsg& m) const {\n"
-      "  w.u8(m.token);\n"
-      "}\n"
-      "bool decode_payload(Reader& r, Packet& out) {\n"
-      "  PongMsg m;\n"
-      "  return r.u8(m.token);\n"
-      "}\n"};
-  const auto diags = lint::check_codec_symmetry(file);
-  EXPECT_TRUE(has_diag(diags, "codec-symmetry",
-                       "'PingMsg' has an encoder overload but no "
-                       "decode_payload case"))
-      << diags_str(diags);
-  EXPECT_TRUE(has_diag(diags, "codec-symmetry",
-                       "'PongMsg' has a decode_payload case but no "
-                       "encoder overload"))
-      << diags_str(diags);
-}
-
-// --- rule family 5: timer discipline ----------------------------------------
+// --- rule family 4: timer discipline ----------------------------------------
 
 TEST(TimerDiscipline, FlagsTimerLeakedAcrossTransition) {
   // The classic stale-timer bug: Run arms poll_timer_, the Run -> Sleep
@@ -610,7 +534,7 @@ TEST(RebootReset, CancelInsideAnArmedLambdaDoesNotCount) {
       << diags_str(diags);
 }
 
-// --- rule family 6: allowlist staleness -------------------------------------
+// --- rule family 5: allowlist staleness -------------------------------------
 
 TEST(AllowlistStaleness, FlagsEntryForFileNotInTheScannedSet) {
   const lint::Allowlist allow = lint::parse_allowlist(

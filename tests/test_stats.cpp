@@ -12,18 +12,6 @@ net::Packet make_packet(net::Payload payload) {
   return pkt;
 }
 
-TEST(Classify, MessageClasses) {
-  EXPECT_EQ(classify(net::PacketType::kAdvertisement), MsgClass::kAdvertisement);
-  EXPECT_EQ(classify(net::PacketType::kDelugeSummary), MsgClass::kAdvertisement);
-  EXPECT_EQ(classify(net::PacketType::kMoapPublish), MsgClass::kAdvertisement);
-  EXPECT_EQ(classify(net::PacketType::kDownloadRequest), MsgClass::kRequest);
-  EXPECT_EQ(classify(net::PacketType::kRepairRequest), MsgClass::kRequest);
-  EXPECT_EQ(classify(net::PacketType::kData), MsgClass::kData);
-  EXPECT_EQ(classify(net::PacketType::kXnpData), MsgClass::kData);
-  EXPECT_EQ(classify(net::PacketType::kStartDownload), MsgClass::kOther);
-  EXPECT_EQ(classify(net::PacketType::kQuery), MsgClass::kOther);
-}
-
 TEST(StatsCollector, CountsPerTypeAndTimeline) {
   obs::MetricsRegistry metrics(3);
   StatsCollector stats(metrics);
@@ -40,8 +28,8 @@ TEST(StatsCollector, CountsPerTypeAndTimeline) {
 
   const auto& timeline = stats.timeline();
   ASSERT_EQ(timeline.size(), 2u);  // minute 0 and minute 1
-  EXPECT_EQ(timeline.at(0)[static_cast<std::size_t>(MsgClass::kAdvertisement)], 1u);
-  EXPECT_EQ(timeline.at(1)[static_cast<std::size_t>(MsgClass::kData)], 2u);
+  EXPECT_EQ(timeline.at(0)[static_cast<std::size_t>(net::MsgClass::kAdvertisement)], 1u);
+  EXPECT_EQ(timeline.at(1)[static_cast<std::size_t>(net::MsgClass::kData)], 2u);
 }
 
 TEST(StatsCollector, CompletionBookkeeping) {

@@ -208,9 +208,6 @@ std::vector<Diagnostic> run_all(const std::vector<SourceFile>& files,
       append(check_hygiene(f, allow));
       append(check_reboot_reset(f, allow));
     }
-    if (ends_with(f.path, "codec.cpp")) {
-      append(check_codec_symmetry(f));
-    }
   }
   append(check_allowlist_staleness(files, allow));
   return diags;

@@ -21,12 +21,6 @@
 //    carry [[nodiscard]], and no `new`/`delete` appears outside the
 //    pooled allocators in net/frame.cpp.
 //
-//  * codec-symmetry — pairs each EncodeVisitor overload in codec.cpp
-//    with the matching decode_payload case by *Msg struct name and diffs
-//    the Writer op sequence against the Reader op sequence; a field
-//    order/width/count mismatch or a message with only one side
-//    implemented is an error.
-//
 //  * timer-discipline — using the transition specs, verifies every timer
 //    armed in a protocol state is cancelled or re-armed on every outgoing
 //    edge of that state (the stale-timer-fires-in-wrong-state bug). The
@@ -129,9 +123,6 @@ std::vector<Diagnostic> check_determinism(const SourceFile& file,
 std::vector<Diagnostic> check_hygiene(const SourceFile& file,
                                       const Allowlist& allow);
 
-/// Codec symmetry over one codec.cpp translation unit.
-std::vector<Diagnostic> check_codec_symmetry(const SourceFile& file);
-
 /// Timer usage model of one protocol file, extracted alongside the
 /// transition table by the state-machine extractor.
 struct TimerModel {
@@ -177,7 +168,7 @@ std::vector<Diagnostic> check_allowlist_staleness(
 
 /// Runs every family over a file set. Machine specs apply to the file
 /// whose path ends with spec.file; determinism applies to all files;
-/// hygiene and reboot-reset to src/; codec-symmetry to *codec.cpp.
+/// hygiene and reboot-reset to src/.
 std::vector<Diagnostic> run_all(const std::vector<SourceFile>& files,
                                 const std::vector<MachineSpec>& specs,
                                 const Allowlist& allow);

@@ -1,11 +1,8 @@
 #include "baselines/ncast_node.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
-#include "boot/progress_journal.hpp"
-#include "node/stats.hpp"
 #include "sim/audit.hpp"
 #include "util/gf256.hpp"
 
@@ -128,29 +125,26 @@ std::uint64_t RlncDecoder::digest_fold(std::uint64_t h) const {
 // NcastNode
 // --------------------------------------------------------------------------
 
-NcastNode::NcastNode(NcastConfig config) : config_(config) {}
+namespace {
 
-NcastNode::NcastNode(NcastConfig config,
+constexpr TrickleNames kNames{"ncast.rounds",
+                              "ncast.advs_sent",
+                              "ncast.requests_sent",
+                              {"Advertise", "Decode", "Forward"}};
+
+}  // namespace
+
+NcastNode::NcastNode(const NcastConfig& config,
                      std::shared_ptr<const core::ProgramImage> image)
-    : config_(config), image_(std::move(image)) {
-  assert(image_);
-  assert(image_->packets_per_segment() == config_.generation_size);
-  assert(image_->payload_bytes() == config_.payload_bytes);
-}
+    : TrickleNode(config, kNames, config.generation_size, config.payload_bytes,
+                  std::move(image)),
+      config_(config) {}
 
-void NcastNode::start(node::Node& node) {
-  node_ = &node;
+void NcastNode::on_start() {
   // Coefficient seeds come from a forked stream: drawing them never
   // perturbs the node's timer jitter, so NCast runs stay trace-comparable
   // with the other baselines under the same root seed.
   coeff_rng_ = node_->rng().fork(0x4E43u);  // "NC"
-  metrics_ = &node_->stats().metrics();
-  m_rounds_ =
-      metrics_->register_counter("ncast.rounds", obs::Unit::kCount, true);
-  m_advs_ =
-      metrics_->register_counter("ncast.advs_sent", obs::Unit::kCount, true);
-  m_requests_ = metrics_->register_counter("ncast.requests_sent",
-                                           obs::Unit::kCount, true);
   m_coded_sent_ =
       metrics_->register_counter("ncast.coded_sent", obs::Unit::kCount, true);
   m_innovative_ =
@@ -162,281 +156,68 @@ void NcastNode::start(node::Node& node) {
   m_gens_decoded_ = metrics_->register_counter("ncast.generations_decoded",
                                                obs::Unit::kCount, true);
   m_rank_ = metrics_->register_gauge("ncast.rank", obs::Unit::kCount, true);
-  node_->radio_on();  // like Deluge: always-on radio, no sleep schedule
-  if (image_) {
-    program_id_ = image_->id();
-    layout_ = image_->layout();
-    complete_gens_ = layout_.units();
-    node_->stats().on_completed(node_->id(), node_->now());
-  } else if (recover_journal() && has_complete_image()) {
-    node_->stats().on_completed(node_->id(), node_->now());
-  }
-  start_round(/*reset_tau=*/true);
 }
 
-bool NcastNode::recover_journal() {
-  if (!config_.journal_progress) return false;
-  const auto rec = boot::ProgressJournal(node_->eeprom()).recover();
-  if (!rec) return false;
-  program_id_ = rec->program_id;
-  layout_ = core::ImageLayout::of_bytes(
-      rec->program_bytes, config_.generation_size, config_.payload_bytes);
-  complete_gens_ = rec->prefix;
-  return complete_gens_ > 0;
-}
-
-void NcastNode::reset_for_reboot() {
-  round_timer_.cancel();
-  round_end_timer_.cancel();
-  request_timer_.cancel();
-  rx_idle_timer_.cancel();
-  tx_timer_.cancel();
-  if (state_ != State::kAdvertise) {
-    state_ = State::kAdvertise;
-  }
-  program_id_ = 0;
-  layout_ = core::ImageLayout{};
-  complete_gens_ = 0;
+void NcastNode::reset_data() {
   decoder_.reset(0, 0);
   decoder_gen_ = 0;
-  tau_ = 0;
-  heard_consistent_ = 0;
-  rx_source_ = net::kNoNode;
-  request_rounds_ = 0;
-  tx_gen_ = 0;
   tx_remaining_ = 0;
 }
 
 std::uint64_t NcastNode::audit_digest() const {
-  std::uint64_t h = sim::kFnvOffset;
-  h = sim::fnv1a(h, static_cast<std::uint64_t>(state_));
-  h = sim::fnv1a(h, program_id_);
-  h = sim::fnv1a(h, layout_.units());
-  h = sim::fnv1a(h, complete_gens_);
-  h = sim::fnv1a(h, static_cast<std::uint64_t>(tau_));
-  h = sim::fnv1a(h, static_cast<std::uint64_t>(heard_consistent_));
-  h = sim::fnv1a(h, rx_source_);
-  h = sim::fnv1a(h, static_cast<std::uint64_t>(request_rounds_));
-  h = sim::fnv1a(h, tx_gen_);
+  std::uint64_t h = fold_session(fold_head(sim::kFnvOffset));
   h = sim::fnv1a(h, static_cast<std::uint64_t>(tx_remaining_));
   h = sim::fnv1a(h, decoder_gen_);
-  h = decoder_.digest_fold(h);
-  return h;
+  return decoder_.digest_fold(h);
 }
 
 std::uint8_t NcastNode::cur_rank() const {
-  if (decoder_gen_ != 0 && decoder_gen_ == complete_gens_ + 1) {
+  if (decoder_gen_ != 0 && decoder_gen_ == complete_ + 1) {
     return decoder_.rank();
   }
   return 0;
 }
 
-// --------------------------------------------------------------------------
-// program geometry
-// --------------------------------------------------------------------------
-
-void NcastNode::learn_program(std::uint16_t id, std::uint16_t gens,
-                              std::uint32_t bytes) {
-  if (layout_.units() == 0 && gens > 0) {
-    program_id_ = id;
-    layout_ = core::ImageLayout(bytes, config_.generation_size,
-                                config_.payload_bytes, gens);
-    node_->meter().mark_first_advertisement(node_->now());
-  }
-}
-
-void NcastNode::ensure_decoder() {
-  const std::uint16_t cur = static_cast<std::uint16_t>(complete_gens_ + 1);
-  if (decoder_gen_ == cur) return;
-  decoder_.reset(static_cast<std::uint8_t>(layout_.packets_in(cur)),
-                 config_.payload_bytes);
-  decoder_gen_ = cur;
-}
-
-// --------------------------------------------------------------------------
-// trace
-// --------------------------------------------------------------------------
-
-const char* NcastNode::state_cname(State s) {
-  switch (s) {
-    case State::kAdvertise: return "Advertise";
-    case State::kDecode: return "Decode";
-    case State::kForward: return "Forward";
-  }
-  return "?";
-}
-
-void NcastNode::trace_state(State next) {
-  if (next == state_) return;
-  if (auto* log = node_->stats().event_log()) {
-    log->record_transition(node_->now(), node_->id(), state_cname(state_),
-                           state_cname(next));
-  }
-}
-
-// --------------------------------------------------------------------------
-// ADVERTISE (Trickle)
-// --------------------------------------------------------------------------
-
-void NcastNode::start_round(bool reset_tau) {
-  round_timer_.cancel();
-  round_end_timer_.cancel();
-  if (reset_tau || tau_ == 0) {
-    tau_ = config_.tau_low;
-  } else {
-    tau_ = std::min(tau_ * 2, config_.tau_high);
-  }
-  heard_consistent_ = 0;
-  metrics_->add(m_rounds_, node_->id());
-  const sim::Time t = node_->rng().uniform_int(tau_ / 2, tau_);
-  round_timer_ = node_->schedule(t, [this] { round_fired(); });
-  round_end_timer_ = node_->schedule(tau_, [this] {
-    if (state_ == State::kAdvertise) start_round(/*reset_tau=*/false);
-  });
-}
-
-void NcastNode::round_fired() {
-  if (state_ != State::kAdvertise) return;
-  if (heard_consistent_ >= config_.suppression_k) return;  // suppressed
-  Packet pkt;
+Packet NcastNode::summary() const {
   net::NcastAdvMsg adv;
-  adv.program_id = program_id_;
+  adv.program_id = version_;
   adv.program_bytes = layout_.bytes();
   adv.total_gens = layout_.units();
-  adv.complete_gens = complete_gens_;
+  adv.complete_gens = complete_;
   adv.gen_size = config_.generation_size;
   adv.cur_rank = cur_rank();
-  pkt.payload = adv;
-  if (node_->send(std::move(pkt))) {
-    metrics_->add(m_advs_, node_->id());
-  }
-}
-
-void NcastNode::handle_adv(const Packet& pkt, const net::NcastAdvMsg& msg) {
-  learn_program(msg.program_id, msg.total_gens, msg.program_bytes);
-  // Rank-based suppression: a neighbor is consistent only when it matches
-  // both the complete-generation count AND the working rank — a neighbor
-  // mid-decode still needs the network talking.
-  if (msg.complete_gens == complete_gens_ && msg.cur_rank == cur_rank()) {
-    ++heard_consistent_;
-    return;
-  }
-  if (state_ == State::kAdvertise) {
-    if (msg.complete_gens > complete_gens_) {
-      begin_rx(pkt.src);
-    } else {
-      // They are behind (fewer generations, or rank-skewed on the same
-      // one): reset tau so our advertisement reaches them soon. Partial
-      // rank is never served directly — only complete generations recode.
-      start_round(/*reset_tau=*/true);
-    }
-  }
-}
-
-// --------------------------------------------------------------------------
-// DECODE
-// --------------------------------------------------------------------------
-
-void NcastNode::begin_rx(net::NodeId source) {
-  trace_state(State::kDecode);
-  state_ = State::kDecode;
-  round_timer_.cancel();
-  round_end_timer_.cancel();
-  rx_source_ = source;
-  request_rounds_ = 0;
-  ensure_decoder();
-  const sim::Time delay = node_->rng().uniform_int(0, config_.request_delay_max);
-  request_timer_ = node_->schedule(delay, [this] { send_request(); });
-}
-
-void NcastNode::send_request() {
-  if (state_ != State::kDecode) return;
-  if (request_rounds_ >= config_.max_request_rounds) {
-    finish_rx(/*success=*/false);
-    return;
-  }
-  ++request_rounds_;
   Packet pkt;
+  pkt.payload = adv;
+  return pkt;
+}
+
+Packet NcastNode::request() const {
   net::NcastReqMsg req;
   req.dest = rx_source_;
-  req.gen = static_cast<std::uint16_t>(complete_gens_ + 1);
+  req.gen = static_cast<std::uint16_t>(complete_ + 1);
   req.rank = cur_rank();
+  Packet pkt;
   pkt.payload = req;
-  if (node_->send(std::move(pkt))) {
-    metrics_->add(m_requests_, node_->id());
-  }
-  rx_idle_timer_.cancel();
-  rx_idle_timer_ =
-      node_->schedule(config_.rx_idle_timeout, [this] { rx_timeout(); });
+  return pkt;
 }
 
-void NcastNode::rx_timeout() {
-  if (state_ != State::kDecode) return;
-  send_request();  // retry (bounded by max_request_rounds)
+void NcastNode::prepare_rx(std::uint16_t gen) {
+  if (decoder_gen_ == gen) return;
+  decoder_.reset(static_cast<std::uint8_t>(layout_.packets_in(gen)),
+                 config_.payload_bytes);
+  decoder_gen_ = gen;
 }
 
-void NcastNode::finish_rx(bool success) {
-  request_timer_.cancel();
-  rx_idle_timer_.cancel();
-  rx_source_ = net::kNoNode;
-  trace_state(State::kAdvertise);
-  state_ = State::kAdvertise;
-  start_round(/*reset_tau=*/!success ? false : true);
-}
+void NcastNode::prepare_tx(std::uint16_t /*gen*/) { tx_remaining_ = 0; }
 
-// --------------------------------------------------------------------------
-// FORWARD
-// --------------------------------------------------------------------------
-
-void NcastNode::handle_request(const Packet& pkt, const net::NcastReqMsg& msg) {
-  (void)pkt;
-  if (msg.gen == 0 || msg.gen > complete_gens_) return;  // can't serve
-  const int deficit =
-      std::max(1, static_cast<int>(layout_.packets_in(msg.gen)) - msg.rank);
-  if (state_ == State::kForward) {
-    if (msg.gen == tx_gen_) {
-      // Another requester for the burst in flight: stretch it to cover
-      // the larger deficit (combinations serve every listener at once).
-      tx_remaining_ = std::max(tx_remaining_, deficit + config_.tx_redundancy);
-    }
-    return;
-  }
-  if (state_ == State::kDecode && msg.dest != node_->id()) return;
-  if (msg.dest != node_->id()) return;
-  begin_tx(msg.gen, deficit);
-}
-
-void NcastNode::begin_tx(std::uint16_t gen, int deficit) {
-  request_timer_.cancel();
-  rx_idle_timer_.cancel();
-  round_timer_.cancel();
-  round_end_timer_.cancel();
-  trace_state(State::kForward);
-  state_ = State::kForward;
-  node_->stats().on_became_sender(node_->id(), node_->now());
-  tx_gen_ = gen;
-  tx_remaining_ = deficit + config_.tx_redundancy;
-  tx_timer_ = node_->schedule(config_.tx_pump_interval, [this] { pump_tx(); });
-}
-
-void NcastNode::pump_tx() {
-  if (state_ != State::kForward) return;
-  while (node_->mac().queue_depth() < 2 && tx_remaining_ > 0) {
-    send_coded(tx_gen_);
-    --tx_remaining_;
-  }
-  if (tx_remaining_ == 0 && node_->mac().idle()) {
-    trace_state(State::kAdvertise);
-    state_ = State::kAdvertise;
-    start_round(/*reset_tau=*/true);
-    return;
-  }
-  tx_timer_ = node_->schedule(config_.tx_pump_interval, [this] { pump_tx(); });
-}
-
-void NcastNode::send_coded(std::uint16_t gen) {
+// One fresh combination of generation tx_unit_, recoded from the image or
+// from the decoded bytes in EEPROM.
+bool NcastNode::send_next() {
+  if (tx_remaining_ <= 0) return false;
+  --tx_remaining_;
+  const std::uint16_t gen = tx_unit_;
   const std::uint16_t k = layout_.packets_in(gen);
-  if (k == 0) return;
+  if (k == 0) return true;
   coeff_scratch_.resize(k);
   const auto seed =
       static_cast<std::uint16_t>(coeff_rng_.uniform_int(0, 0xFFFF));
@@ -470,15 +251,20 @@ void NcastNode::send_coded(std::uint16_t gen) {
   if (node_->send(std::move(pkt))) {
     metrics_->add(m_coded_sent_, node_->id());
   }
+  return true;
 }
 
 // --------------------------------------------------------------------------
 // coded reception (any non-Forward state: every combination is hoarded)
 // --------------------------------------------------------------------------
 
-void NcastNode::generation_completed() {
+void NcastNode::commit_generation() {
   decoder_.decode();
-  const std::uint16_t gen = static_cast<std::uint16_t>(complete_gens_ + 1);
+  // Back-substitution work lands on the same counter as elimination.
+  metrics_->add(m_decode_row_ops_, node_->id(),
+                decoder_.row_ops() - last_row_ops_);
+  last_row_ops_ = decoder_.row_ops();
+  const std::uint16_t gen = decoder_gen_;
   const std::uint8_t k = decoder_.generation_size();
   for (std::uint8_t i = 0; i < k; ++i) {
     const std::size_t len = layout_.payload_len(gen, i);
@@ -487,38 +273,15 @@ void NcastNode::generation_completed() {
     symbol_scratch_.assign(src, src + len);
     node_->eeprom().write(layout_.offset(gen, i), symbol_scratch_);
   }
-  ++complete_gens_;
   decoder_gen_ = 0;  // recycled on demand for the next generation
   metrics_->add(m_gens_decoded_, node_->id());
   metrics_->set(m_rank_, node_->id(), 0.0);
-  if (config_.journal_progress) {
-    boot::ProgressJournal(node_->eeprom())
-        .append(program_id_, layout_.bytes(), complete_gens_);
-  }
-  node_->stats().on_segment_completed(node_->id(), complete_gens_, node_->now());
-  if (has_complete_image()) {
-    node_->stats().on_completed(node_->id(), node_->now());
-  }
-  if (state_ == State::kDecode) {
-    node_->stats().on_parent_set(node_->id(), rx_source_);
-    finish_rx(/*success=*/true);
-  } else {
-    start_round(/*reset_tau=*/true);
-  }
 }
 
-void NcastNode::handle_coded(const Packet& pkt, const net::NcastCodedMsg& msg) {
-  (void)pkt;
-  if (layout_.units() == 0) return;
-  if (state_ == State::kForward) return;  // half-duplex sender
-  if (msg.gen != complete_gens_ + 1) {
-    // A generation we can't use yet (or already hold): evidence the
-    // network is busy; suppress our own advertisement this round.
-    heard_consistent_ = config_.suppression_k;
-    return;
-  }
+void NcastNode::handle_coded(const net::NcastCodedMsg& msg) {
+  if (!accepts_data(msg.gen)) return;
   if (msg.payload.size() != config_.payload_bytes) return;
-  ensure_decoder();
+  prepare_rx(msg.gen);
   const std::uint8_t k = decoder_.generation_size();
   if (k == 0) return;
   coeff_scratch_.resize(k);
@@ -531,27 +294,32 @@ void NcastNode::handle_coded(const Packet& pkt, const net::NcastCodedMsg& msg) {
                 decoder_.row_ops() - last_row_ops_);
   metrics_->set(m_rank_, node_->id(), decoder_.rank());
   last_row_ops_ = decoder_.row_ops();
-  if (state_ == State::kDecode) {
-    rx_idle_timer_.cancel();
-    rx_idle_timer_ =
-        node_->schedule(config_.rx_idle_timeout, [this] { rx_timeout(); });
-  }
+  data_heard();
   if (decoder_.complete()) {
-    generation_completed();
-    // decode() back-substitution work lands on the same counter.
-    metrics_->add(m_decode_row_ops_, node_->id(),
-                  decoder_.row_ops() - last_row_ops_);
-    last_row_ops_ = decoder_.row_ops();
+    commit_generation();
+    complete_unit();
   }
 }
 
 void NcastNode::on_packet(const Packet& pkt) {
   if (const auto* adv = pkt.as<net::NcastAdvMsg>()) {
-    handle_adv(pkt, *adv);
+    learn_program(adv->program_id, adv->total_gens, adv->program_bytes);
+    // Rank-based suppression: a neighbor is consistent only when it
+    // matches both the complete-generation count AND the working rank — a
+    // neighbor mid-decode still needs the network talking. One that is
+    // rank-skewed on the same generation resets tau without a request:
+    // partial rank is never served, only complete generations recode.
+    heard_summary(pkt.src, adv->complete_gens,
+                  adv->complete_gens == complete_ && adv->cur_rank == cur_rank());
   } else if (const auto* req = pkt.as<net::NcastReqMsg>()) {
-    handle_request(pkt, *req);
+    if (!serve_request(req->gen, req->dest)) return;
+    // Stretch the burst to cover this requester's deficit too
+    // (combinations serve every listener at once).
+    const int deficit =
+        std::max(1, static_cast<int>(layout_.packets_in(req->gen)) - req->rank);
+    tx_remaining_ = std::max(tx_remaining_, deficit + config_.tx_redundancy);
   } else if (const auto* coded = pkt.as<net::NcastCodedMsg>()) {
-    handle_coded(pkt, *coded);
+    handle_coded(*coded);
   }
 }
 

@@ -10,12 +10,14 @@
 // k arrive, and from whom, is irrelevant. Under loss there is nothing to
 // re-request by name; the stream itself is the repair.
 //
-// Shape of the protocol (deliberately parallel to the Deluge baseline so
-// the comparison isolates coding, not timer tuning):
-//  * ADVERTISE: Trickle-suppressed advertisements carrying (complete
-//    generations, current decoder rank). A neighbor is consistent when
-//    both match; rank-only differences reset tau without triggering a
-//    request, because only complete generations are served.
+// Shape of the protocol: Deluge's Trickle control plane (trickle_node.hpp),
+// shared line for line, so the comparison isolates coding, not timer
+// tuning. Units are generations; the control plane's states are named
+// ADVERTISE, DECODE and FORWARD here.
+//  * ADVERTISE: advertisements carry (complete generations, current
+//    decoder rank). A neighbor is consistent when both match; rank-only
+//    differences reset tau without triggering a request, because only
+//    complete generations are served.
 //  * DECODE: a node that hears an advertiser with more complete
 //    generations requests its working generation, reporting its rank;
 //    every overheard coded packet for that generation feeds the
@@ -34,38 +36,22 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
-#include "mnp/program_image.hpp"
-#include "node/application.hpp"
-#include "node/node.hpp"
-#include "obs/metrics.hpp"
+#include "baselines/trickle_node.hpp"
 #include "sim/rng.hpp"
 
 namespace mnp::baselines {
 
-struct NcastConfig {
+struct NcastConfig : TrickleConfig {
   /// Source packets per generation (k). 16 keeps the elimination matrix
   /// at mote scale and the worst-case decode cost bounded.
   std::uint8_t generation_size = 16;
   std::size_t payload_bytes = 22;  // same symbol size as MNP packets
-
-  sim::Time tau_low = sim::msec(1000);
-  sim::Time tau_high = sim::sec(60);
-  int suppression_k = 1;  // consistent advs heard before ours is suppressed
-
-  sim::Time request_delay_max = sim::msec(250);
-  int max_request_rounds = 4;
-  sim::Time rx_idle_timeout = sim::sec(3);
-
-  sim::Time tx_pump_interval = sim::msec(10);
   /// Coded packets sent beyond the requester's rank deficit. The rateless
   /// hedge: each extra combination is useful to *any* listener that lost
   /// *any* earlier packet.
   int tx_redundancy = 2;
-
-  /// Crash-safe generation journaling (boot::ProgressJournal): rebooted
-  /// nodes resume from their completed-generation prefix.
-  bool journal_progress = false;
 };
 
 /// Expands (gen, coeff_seed) into `k` GF(256) coefficients. Pure: sender
@@ -130,60 +116,33 @@ class RlncDecoder {
   std::vector<std::uint8_t> scratch_;  // one row, insert() workspace
 };
 
-class NcastNode final : public node::Application {
+class NcastNode final : public TrickleNode {
  public:
-  enum class State : std::uint8_t { kAdvertise, kDecode, kForward };
+  explicit NcastNode(const NcastConfig& config,
+                     std::shared_ptr<const core::ProgramImage> image = nullptr);
 
-  explicit NcastNode(NcastConfig config);
-  NcastNode(NcastConfig config, std::shared_ptr<const core::ProgramImage> image);
-
-  void start(node::Node& node) override;
   void on_packet(const net::Packet& pkt) override;
-  bool has_complete_image() const override {
-    return layout_.units() > 0 && complete_gens_ == layout_.units();
-  }
-  void reset_for_reboot() override;
   std::uint64_t audit_digest() const override;
 
-  State state() const { return state_; }
-  std::uint16_t complete_gens() const { return complete_gens_; }
+  std::uint16_t complete_gens() const { return complete_; }
   std::uint8_t cur_rank() const;
-  bool is_base() const { return static_cast<bool>(image_); }
 
  private:
-  void start_round(bool reset_tau);
-  void round_fired();
-  void handle_adv(const net::Packet& pkt, const net::NcastAdvMsg& msg);
-  void handle_request(const net::Packet& pkt, const net::NcastReqMsg& msg);
-  void handle_coded(const net::Packet& pkt, const net::NcastCodedMsg& msg);
+  void on_start() override;
+  net::Packet summary() const override;
+  net::Packet request() const override;
+  void prepare_rx(std::uint16_t gen) override;
+  void prepare_tx(std::uint16_t gen) override;
+  bool send_next() override;
+  void reset_data() override;
 
-  void begin_rx(net::NodeId source);
-  void send_request();
-  void rx_timeout();
-  void finish_rx(bool success);
-
-  void begin_tx(std::uint16_t gen, int deficit);
-  void pump_tx();
-  void send_coded(std::uint16_t gen);
-
-  void generation_completed();
-  bool recover_journal();
-  void trace_state(State next);
-  static const char* state_cname(State s);
-
-  void ensure_decoder();
-  void learn_program(std::uint16_t id, std::uint16_t gens, std::uint32_t bytes);
+  void handle_coded(const net::NcastCodedMsg& msg);
+  void commit_generation();
 
   NcastConfig config_;
-  std::shared_ptr<const core::ProgramImage> image_;
-  node::Node* node_ = nullptr;
-  State state_ = State::kAdvertise;
 
-  // Telemetry handles (ncast.* of DESIGN.md §13), registered at start().
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::MetricsRegistry::Counter m_rounds_;
-  obs::MetricsRegistry::Counter m_advs_;
-  obs::MetricsRegistry::Counter m_requests_;
+  // Telemetry handles (ncast.* of DESIGN.md §13) beyond the control
+  // plane's rounds, advertisements and requests, registered at start().
   obs::MetricsRegistry::Counter m_coded_sent_;
   obs::MetricsRegistry::Counter m_innovative_;
   obs::MetricsRegistry::Counter m_redundant_;
@@ -191,32 +150,14 @@ class NcastNode final : public node::Application {
   obs::MetricsRegistry::Counter m_gens_decoded_;
   obs::MetricsRegistry::Gauge m_rank_;
 
-  std::uint16_t program_id_ = 0;
-  core::ImageLayout layout_;  // units() == 0: program still unknown
-  std::uint16_t complete_gens_ = 0;
-
-  // Decoder for the working generation complete_gens_ + 1 (generations
+  // Decoder for the working generation complete_ + 1 (generations
   // complete strictly in order, like Deluge pages).
   RlncDecoder decoder_;
   std::uint16_t decoder_gen_ = 0;  // 0 = decoder not armed
   std::uint64_t last_row_ops_ = 0;
 
-  // Trickle state.
-  sim::Time tau_ = 0;
-  int heard_consistent_ = 0;
-  sim::EventHandle round_timer_;
-  sim::EventHandle round_end_timer_;
-
-  // DECODE state.
-  net::NodeId rx_source_ = net::kNoNode;
-  int request_rounds_ = 0;
-  sim::EventHandle request_timer_;
-  sim::EventHandle rx_idle_timer_;
-
-  // FORWARD state.
-  std::uint16_t tx_gen_ = 0;
+  // FORWARD state: coded packets still to send for generation tx_unit_.
   int tx_remaining_ = 0;
-  sim::EventHandle tx_timer_;
   sim::Rng coeff_rng_{0};  // forked from the node stream in start()
 
   // Reusable staging buffers (encoder source packet / decoded writeback).

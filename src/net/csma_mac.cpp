@@ -8,7 +8,11 @@ namespace mnp::net {
 
 CsmaMac::CsmaMac(Radio& radio, sim::Scheduler& scheduler, sim::Rng rng,
                  Params params)
-    : radio_(radio), scheduler_(scheduler), rng_(std::move(rng)), params_(params) {
+    : radio_(radio),
+      scheduler_(scheduler),
+      rng_(std::move(rng)),
+      params_(params),
+      queue_(params.queue_capacity) {
   radio_.set_send_done_handler([this] { transmission_finished(); });
 }
 
@@ -29,11 +33,11 @@ bool CsmaMac::send(FramePtr frame) {
     metrics_->add(m_dropped_, radio_.id());
     return false;
   }
-  if (queue_.size() >= params_.queue_capacity) {
+  if (queue_.full()) {
     metrics_->add(m_dropped_, radio_.id());
     return false;
   }
-  queue_.push_back(std::move(frame));
+  queue_.push(std::move(frame));
   if (!in_flight_ && !backoff_.pending()) arm_backoff(/*congestion=*/false);
   return true;
 }
@@ -69,8 +73,7 @@ void CsmaMac::backoff_expired() {
   // attempt only when clear.
   if (radio_.is_listening() && carrier_clear()) {
     retries_ = 0;
-    FramePtr frame = std::move(queue_.front());
-    queue_.pop_front();
+    FramePtr frame = queue_.pop();
     in_flight_ = true;
     last_sent_ = frame;  // refcount bump, not a Packet copy
     if (!radio_.start_transmission(std::move(frame))) {
@@ -85,7 +88,7 @@ void CsmaMac::backoff_expired() {
   if (params_.max_congestion_retries != 0 &&
       retries_ > params_.max_congestion_retries) {
     metrics_->add(m_dropped_, radio_.id());
-    queue_.pop_front();
+    queue_.pop();
     retries_ = 0;
     if (queue_.empty()) return;
   }

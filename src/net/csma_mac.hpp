@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "net/mac.hpp"
@@ -82,7 +81,7 @@ class CsmaMac final : public Mac {
   sim::Scheduler& scheduler_;
   sim::Rng rng_;
   Params params_;
-  std::deque<FramePtr> queue_;
+  FrameQueue queue_;
   FramePtr last_sent_;
   sim::EventHandle backoff_;
   bool in_flight_ = false;

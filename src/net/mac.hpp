@@ -8,12 +8,49 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "net/frame.hpp"
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
 
 namespace mnp::net {
+
+/// A MAC's transmit queue: a FIFO ring of a fixed number of frames. Its
+/// slots are allocated once, at construction, so queueing never allocates.
+class FrameQueue {
+ public:
+  explicit FrameQueue(std::size_t capacity) : slots_(capacity) {}
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  bool full() const { return size_ == slots_.size(); }
+
+  /// Appends `frame`. Requires !full().
+  void push(FramePtr frame) {
+    std::size_t tail = head_ + size_;
+    if (tail >= slots_.size()) tail -= slots_.size();
+    slots_[tail] = std::move(frame);
+    ++size_;
+  }
+  /// Removes and returns the oldest frame. Requires !empty().
+  FramePtr pop() {
+    FramePtr frame = std::move(slots_[head_]);
+    if (++head_ == slots_.size()) head_ = 0;
+    --size_;
+    return frame;
+  }
+  /// Releases every queued frame, front to back.
+  void clear() {
+    while (!empty()) pop();
+  }
+
+ private:
+  std::vector<FramePtr> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
 
 class Mac {
  public:

@@ -24,7 +24,10 @@ std::uint32_t TdmaMac::slot_for(std::size_t row, std::size_t col,
 }
 
 TdmaMac::TdmaMac(Radio& radio, sim::Scheduler& scheduler, Params params)
-    : radio_(radio), scheduler_(scheduler), params_(params) {
+    : radio_(radio),
+      scheduler_(scheduler),
+      params_(params),
+      queue_(params.queue_capacity) {
   if (params_.frame_slots == 0) params_.frame_slots = 1;
   params_.my_slot %= params_.frame_slots;
   radio_.set_send_done_handler([this] { transmission_finished(); });
@@ -42,11 +45,11 @@ bool TdmaMac::send(FramePtr frame) {
     metrics_->add(m_dropped_, radio_.id());
     return false;
   }
-  if (queue_.size() >= params_.queue_capacity) {
+  if (queue_.full()) {
     metrics_->add(m_dropped_, radio_.id());
     return false;
   }
-  queue_.push_back(std::move(frame));
+  queue_.push(std::move(frame));
   if (!slot_timer_.pending()) arm_next_slot();
   return true;
 }
@@ -82,8 +85,7 @@ void TdmaMac::slot_fired() {
     flush();
     return;
   }
-  FramePtr frame = std::move(queue_.front());
-  queue_.pop_front();
+  FramePtr frame = queue_.pop();
   last_sent_ = frame;  // refcount bump, not a Packet copy
   in_flight_ = true;
   if (!radio_.start_transmission(std::move(frame))) {

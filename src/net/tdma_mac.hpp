@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "net/mac.hpp"
@@ -80,7 +79,7 @@ class TdmaMac final : public Mac {
   Radio& radio_;
   sim::Scheduler& scheduler_;
   Params params_;
-  std::deque<FramePtr> queue_;
+  FrameQueue queue_;
   FramePtr last_sent_;
   sim::EventHandle slot_timer_;
   bool in_flight_ = false;

@@ -5,14 +5,20 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <optional>
 
 #include "boot/progress_journal.hpp"
 #include "harness/experiment.hpp"
+#include "net/channel.hpp"
+#include "net/csma_mac.hpp"
+#include "net/link_model.hpp"
+#include "net/tdma_mac.hpp"
 #include "node/stats.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/simulator.hpp"
 #include "storage/eeprom.hpp"
 
 namespace {
@@ -67,8 +73,9 @@ namespace mnp {
 namespace {
 
 // A whole MNP run, set-up included: 10x10, 5 segments, seed 1, empirical
-// links. It makes about 0.19 allocations per transmission (14,446 over
-// 76,433); one heap closure per transmission alone puts it above 1.
+// links. It makes about 0.03 allocations per transmission (the next test
+// says where they go); one heap closure per transmission alone puts it
+// above 1.
 TEST(Allocations, MnpRunMakesUnderHalfAnAllocationPerTransmission) {
   harness::ExperimentConfig cfg;
   cfg.protocol = harness::Protocol::kMnp;
@@ -89,10 +96,11 @@ TEST(Allocations, MnpRunMakesUnderHalfAnAllocationPerTransmission) {
 }
 
 // The same run with MNP's own hot path allocation-free: the forward vector
-// reuses its words and the requester list is a flat vector. About 0.06
-// allocations per transmission remain (the MAC queue's deque blocks and
-// set-up); a BigBitmap built per advertised segment and a std::set node per
-// requester put it near 0.19.
+// reuses its words and the requester list is a flat vector. About 0.03
+// allocations per transmission remain, nearly all set-up (2,505 over 76,433
+// in a Release build; 3,755 while the MAC queue was a std::deque); a
+// BigBitmap built per advertised segment and a std::set node per requester
+// put it near 0.19.
 TEST(Allocations, MnpRunMakesUnderATenthOfAnAllocationPerTransmission) {
   harness::ExperimentConfig cfg;
   cfg.protocol = harness::Protocol::kMnp;
@@ -187,6 +195,53 @@ TEST(Allocations, JournalAppendsAndRecoveryAllocateNothing) {
   EXPECT_EQ(recover_allocs, 0u);
   ASSERT_TRUE(recovered.has_value());
   EXPECT_EQ(recovered->prefix, 16);
+}
+
+// A MAC's transmit queue: once warm, 1,000 frames through a CSMA MAC and
+// through a TDMA MAC, in bursts of 10, allocate nothing. While the queue
+// was a std::deque it allocated a 512-byte chunk per 64 pushes: 16
+// allocations over these 1,000 frames on the CSMA MAC.
+TEST(Allocations, MacQueuesAllocateNothingAfterWarmUp) {
+  for (const bool tdma : {false, true}) {
+    SCOPED_TRACE(tdma ? "TDMA" : "CSMA");
+    sim::Simulator sim(1);
+    net::Topology topo;
+    topo.add({0.0, 0.0});
+    topo.add({10.0, 0.0});
+    net::DiskLinkModel links(topo, 15.0);
+    obs::MetricsRegistry metrics(topo.size());
+    net::Channel channel(sim, topo, links, metrics);
+    energy::EnergyMeter m0, m1;
+    net::Radio sender(0, sim.scheduler(), channel, m0);
+    net::Radio receiver(1, sim.scheduler(), channel, m1);
+    channel.register_radio(sender);
+    channel.register_radio(receiver);
+    std::uint64_t received = 0;
+    receiver.set_receive_handler([&received](const net::Packet&) { ++received; });
+    sender.turn_on();
+    receiver.turn_on();
+    std::unique_ptr<net::Mac> mac;
+    if (tdma) {
+      mac = std::make_unique<net::TdmaMac>(sender, sim.scheduler(),
+                                           net::TdmaMac::Params{});
+    } else {
+      mac = std::make_unique<net::CsmaMac>(sender, sim.scheduler(),
+                                           sim.fork_rng(7));
+    }
+    mac->attach_metrics(metrics);
+    net::Packet adv;
+    adv.payload = net::AdvertisementMsg{};
+    const auto send_frames = [&](int frames) {
+      for (int sent = 0; sent < frames; sent += 10) {
+        for (int i = 0; i < 10; ++i) mac->send(adv);
+        while (!mac->idle()) sim.run_until(sim.now() + sim::msec(100));
+      }
+    };
+    send_frames(100);  // warm-up: frame pool, event queue, channel
+    EXPECT_EQ(allocations_in([&] { send_frames(1000); }), 0u);
+    EXPECT_EQ(mac->packets_sent(), 1100u);
+    EXPECT_EQ(received, 1100u);
+  }
 }
 
 // The event queue itself: once its heap and slot pool have grown to the

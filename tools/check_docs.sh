@@ -127,6 +127,32 @@ while IFS= read -r id; do
   fi
 done <<< "$recipes"
 
+# Lint-spec drift gate: every `<name>_transitions.txt` README.md, DESIGN.md
+# or PROTOCOLS.md names must exist under tools/mnp_lint/, and PROTOCOLS.md
+# must name every spec there, so the protocol table's "lint spec" row can
+# neither point at a missing file nor leave a machine out.
+specs=$(find tools/mnp_lint -maxdepth 1 -name '*_transitions.txt' -printf '%f\n' | sort -u)
+spec_mentions=$(grep -hoE '[a-z0-9][a-z0-9_]*_transitions\.txt' README.md DESIGN.md PROTOCOLS.md |
+                sort -u || true)
+if [ -z "$specs" ]; then
+  echo "check_docs: no *_transitions.txt spec under tools/mnp_lint/" >&2
+  fail=1
+fi
+while IFS= read -r spec; do
+  [ -n "$spec" ] || continue
+  if ! grep -qx "$spec" <<< "$specs"; then
+    echo "check_docs: the docs name lint spec $spec, which tools/mnp_lint/ does not have" >&2
+    fail=1
+  fi
+done <<< "$spec_mentions"
+while IFS= read -r spec; do
+  [ -n "$spec" ] || continue
+  if ! grep -qF "$spec" PROTOCOLS.md; then
+    echo "check_docs: lint spec tools/mnp_lint/$spec is not named in PROTOCOLS.md" >&2
+    fail=1
+  fi
+done <<< "$specs"
+
 # Telemetry schema gate: DESIGN.md §9 states the schema version twice, in
 # its intro ("currently **N**") and in §9.2's manifest layout ("this
 # contract's version (N)"), and both must be obs::kTelemetrySchemaVersion.
@@ -149,6 +175,7 @@ done
 
 if [ "$fail" -eq 0 ]; then
   echo "check_docs: OK ($checked documented binary paths resolve to targets;" \
-       "$(wc -l <<< "$registered") claims have recipes; schema v$schema)"
+       "$(wc -l <<< "$registered") claims have recipes;" \
+       "$(wc -l <<< "$specs") lint specs documented; schema v$schema)"
 fi
 exit "$fail"

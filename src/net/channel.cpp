@@ -209,8 +209,14 @@ void Channel::rebuild_row(ScaleCache& cache, NodeId src) const {
           }
         });
     std::sort(row_scratch_.begin(), row_scratch_.end());
+    if (nbr.capacity() < row_scratch_.size()) {
+      // A quarter more than this build needs, so the neighbours a move or
+      // a healed partition adds later fit without regrowing the row.
+      const std::size_t room = row_scratch_.size() + row_scratch_.size() / 4;
+      nbr.reserve(room);
+      suc.reserve(room);
+    }
     nbr.assign(row_scratch_.begin(), row_scratch_.end());
-    suc.reserve(nbr.size());
     for (const NodeId d : nbr) suc.push_back(links_.packet_success(src, d, ps));
   } else {
     const std::size_t n = topo_.size();

@@ -20,7 +20,7 @@ Network::Network(sim::Simulator& sim, net::Topology topology,
   for (std::size_t i = 0; i < topology_.size(); ++i) {
     nodes_.push_back(std::make_unique<Node>(
         static_cast<net::NodeId>(i), sim, channel_, stats_, energy_model,
-        mac_factory));
+        mac_factory, &page_store_));
   }
 }
 

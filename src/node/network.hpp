@@ -14,6 +14,7 @@
 #include "node/stats.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "storage/eeprom.hpp"
 
 namespace mnp::node {
 
@@ -49,6 +50,8 @@ class Network {
   StatsCollector& stats() { return stats_; }
   const StatsCollector& stats() const { return stats_; }
   sim::Simulator& simulator() { return sim_; }
+  /// The full EEPROM pages every node shares (DESIGN.md section 6).
+  const storage::PageStore& page_store() const { return page_store_; }
 
   /// Boots every node, each at an independent random offset within
   /// [0, max_jitter] — motes in the field never power up simultaneously.
@@ -75,6 +78,9 @@ class Network {
   obs::MetricsRegistry metrics_;
   StatsCollector stats_;
   net::Channel channel_;
+  // Before nodes_: every node's EEPROM reads its shared pages, so the
+  // store must outlive them.
+  storage::PageStore page_store_;
   std::vector<std::unique_ptr<Node>> nodes_;
 };
 

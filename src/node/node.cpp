@@ -8,7 +8,8 @@ namespace mnp::node {
 
 Node::Node(net::NodeId id, sim::Simulator& sim, net::Channel& channel,
            StatsCollector& stats, energy::EnergyModel energy_model,
-           const MacFactory& mac_factory)
+           const MacFactory& mac_factory,
+           storage::PageStore* page_store)
     : id_(id),
       sim_(sim),
       stats_(stats),
@@ -18,7 +19,7 @@ Node::Node(net::NodeId id, sim::Simulator& sim, net::Channel& channel,
                ? mac_factory(id, radio_, sim)
                : std::make_unique<net::CsmaMac>(
                      radio_, sim.scheduler(), sim.fork_rng(0x3A5Cu + id))),
-      eeprom_(storage::Eeprom::kDefaultCapacity, &meter_),
+      eeprom_(storage::Eeprom::kDefaultCapacity, &meter_, page_store),
       rng_(sim.fork_rng(0x901Du + id)) {
   channel.register_radio(radio_);
   // Before any send: the MAC's counters live in the network's registry.

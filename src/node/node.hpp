@@ -26,9 +26,12 @@ class Node {
   using MacFactory = std::function<std::unique_ptr<net::Mac>(
       net::NodeId, net::Radio&, sim::Simulator&)>;
 
+  /// `page_store`, when not null, is the store this node's EEPROM shares
+  /// full pages through; it must outlive the node.
   Node(net::NodeId id, sim::Simulator& sim, net::Channel& channel,
        StatsCollector& stats, energy::EnergyModel energy_model = {},
-       const MacFactory& mac_factory = nullptr);
+       const MacFactory& mac_factory = nullptr,
+       storage::PageStore* page_store = nullptr);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;

@@ -93,6 +93,9 @@ TEST(Network, CompleteImageCountTracksApplications) {
 TEST(Network, CompletedRunHoldsOnlyTheImagePages) {
   // MNP 5x5, 5 segments: a 14,080-byte image fills ceil(14,080 / 4096) = 4
   // pages on every receiver; the base serves from RAM and writes none.
+  // The three full pages are held once, in the network's page store; only
+  // the partial fourth stays private to each receiver. Killed by the
+  // scratch mutation that shares a page before it is full.
   sim::Simulator sim(1);
   Network network(sim, net::Topology::grid(5, 5, 10.0), disk_links);
   core::MnpConfig cfg;
@@ -104,6 +107,7 @@ TEST(Network, CompletedRunHoldsOnlyTheImagePages) {
     network.node(id).set_application(
         id == 0 ? std::make_unique<core::MnpNode>(cfg, image)
                 : std::make_unique<core::MnpNode>(cfg));
+    network.node(id).eeprom().set_track_write_once(true);
   }
   network.boot_all();
   ASSERT_TRUE(sim.run_until_condition(
@@ -111,8 +115,14 @@ TEST(Network, CompletedRunHoldsOnlyTheImagePages) {
       [&] { return network.complete_image_count() == network.size(); }));
   EXPECT_EQ(network.node(0).eeprom().resident_pages(), 0u);
   for (net::NodeId id = 1; id < network.size(); ++id) {
-    EXPECT_EQ(network.node(id).eeprom().resident_pages(), 4u) << "node " << id;
+    storage::Eeprom& flash = network.node(id).eeprom();
+    EXPECT_EQ(flash.resident_pages(), 4u) << "node " << id;
+    EXPECT_EQ(flash.private_pages(), 1u) << "node " << id;
+    EXPECT_TRUE(image->matches(flash.read(0, image->total_bytes())))
+        << "node " << id;
+    EXPECT_EQ(flash.double_writes(), 0u) << "node " << id;
   }
+  EXPECT_EQ(network.page_store().pages(), 3u);
 }
 
 TEST(Network, MacFactoryInstallsCustomMac) {

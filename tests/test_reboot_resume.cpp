@@ -184,6 +184,64 @@ TEST(RebootResume, MnpNodeResumesFromJournaledSegments) {
   EXPECT_EQ(network.node(8).eeprom().resident_pages(), 4u);
 }
 
+// Churn over shared flash: four receivers of a 4x4 grid crash once they
+// hold a segment and reboot 30 s later. Every receiver ends holding the
+// image's two full pages through the network's page store, and two pages
+// of its own: the image's partial third page and the journal's page, whose
+// three 16-byte records never fill it. Each journal recovers the whole
+// image from its own records. Killed by the scratch mutation that shares a
+// page before it is full: equal journals would then share one page.
+TEST(RebootResume, JournalPagesStayPrivateUnderChurn) {
+  sim::Simulator sim(14);
+  node::Network network(sim, net::Topology::grid(4, 4, 10.0),
+                        disk_links(15.0));
+  core::MnpConfig mc;
+  mc.journal_progress = true;
+  const std::size_t bytes =
+      std::size_t{3} * mc.packets_per_segment * mc.payload_bytes;
+  auto image = std::make_shared<const core::ProgramImage>(
+      kProgramId, bytes, mc.packets_per_segment, mc.payload_bytes);
+  for (net::NodeId id = 0; id < network.size(); ++id) {
+    network.node(id).set_application(
+        id == 0 ? std::make_unique<core::MnpNode>(mc, image)
+                : std::make_unique<core::MnpNode>(mc));
+  }
+  network.boot_all(sim::msec(50));
+
+  for (const net::NodeId victim : {5, 15, 10, 3}) {
+    auto* app =
+        dynamic_cast<core::MnpNode*>(network.node(victim).application());
+    ASSERT_NE(app, nullptr);
+    ASSERT_TRUE(sim.run_until_condition(
+        sim::hours(1), [app] { return app->received_segments() >= 1; }));
+    network.node(victim).kill();
+    boot::ProgressJournal journal(network.node(victim).eeprom());
+    const auto rec = journal.recover();
+    ASSERT_TRUE(rec.has_value()) << "node " << victim;
+    EXPECT_EQ(rec->prefix, app->received_segments()) << "node " << victim;
+    sim.run_until(sim.now() + sim::sec(30));
+    network.node(victim).reboot();
+  }
+
+  ASSERT_TRUE(sim.run_until_condition(sim::hours(2), [&network] {
+    return network.complete_image_count() == network.size();
+  }));
+  for (net::NodeId id = 1; id < network.size(); ++id) {
+    storage::Eeprom& flash = network.node(id).eeprom();
+    EXPECT_TRUE(image->matches(flash.read(0, bytes))) << "node " << id;
+    // ceil(8,448 / 4096) = 3 image pages, plus the journal's top page.
+    EXPECT_EQ(flash.resident_pages(), 4u) << "node " << id;
+    EXPECT_EQ(flash.private_pages(), 2u) << "node " << id;
+    boot::ProgressJournal journal(flash);
+    const auto rec = journal.recover();
+    ASSERT_TRUE(rec.has_value()) << "node " << id;
+    EXPECT_EQ(rec->program_id, kProgramId);
+    EXPECT_EQ(rec->program_bytes, bytes);
+    EXPECT_EQ(rec->prefix, 3) << "node " << id;
+  }
+  EXPECT_EQ(network.page_store().pages(), 2u);
+}
+
 TEST(RebootResume, DelugeNodeResumesFromJournaledPages) {
   sim::Simulator sim(12);
   node::Network network(sim, net::Topology::grid(3, 3, 10.0),

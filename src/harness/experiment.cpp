@@ -15,6 +15,7 @@
 #include "scenario/scenario_link_model.hpp"
 #include "sim/audit.hpp"
 #include "sim/simulator.hpp"
+#include "storage/eeprom.hpp"
 
 namespace mnp::harness {
 
@@ -363,6 +364,15 @@ RunResult run_experiment(const ExperimentConfig& config,
         static_cast<double>(stats.completed_count()));
   m.set(m.register_gauge("run.sim_time_us", obs::Unit::kMicroseconds, false),
         static_cast<double>(sim.now()));
+  // Flash in memory: the network's one copy, and at their peaks the pages
+  // nodes held with bytes of their own and as write marks only.
+  const storage::PageStore& flash = network.page_store();
+  m.set(m.register_gauge("flash.store_pages", obs::Unit::kCount, false),
+        static_cast<double>(flash.pages()));
+  m.set(m.register_gauge("flash.own_pages_peak", obs::Unit::kCount, false),
+        static_cast<double>(flash.own_pages_peak()));
+  m.set(m.register_gauge("flash.mark_pages_peak", obs::Unit::kCount, false),
+        static_cast<double>(flash.mark_pages_peak()));
   if (observation) {
     observation->metrics = m;
     if (sample_energy) {

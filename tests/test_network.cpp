@@ -93,9 +93,10 @@ TEST(Network, CompleteImageCountTracksApplications) {
 TEST(Network, CompletedRunHoldsOnlyTheImagePages) {
   // MNP 5x5, 5 segments: a 14,080-byte image fills ceil(14,080 / 4096) = 4
   // pages on every receiver; the base serves from RAM and writes none.
-  // The three full pages are held once, in the network's page store; only
-  // the partial fourth stays private to each receiver. Killed by the
-  // scratch mutation that shares a page before it is full.
+  // The network's page store holds all four once. Each receiver reads the
+  // three full pages whole and keeps only its write marks for the partial
+  // fourth; none holds bytes of its own. Killed by the scratch mutation
+  // that skips the compare, so every write gives its page bytes of its own.
   sim::Simulator sim(1);
   Network network(sim, net::Topology::grid(5, 5, 10.0), disk_links);
   core::MnpConfig cfg;
@@ -117,12 +118,13 @@ TEST(Network, CompletedRunHoldsOnlyTheImagePages) {
   for (net::NodeId id = 1; id < network.size(); ++id) {
     storage::Eeprom& flash = network.node(id).eeprom();
     EXPECT_EQ(flash.resident_pages(), 4u) << "node " << id;
-    EXPECT_EQ(flash.private_pages(), 1u) << "node " << id;
+    EXPECT_EQ(flash.own_pages(), 0u) << "node " << id;
     EXPECT_TRUE(image->matches(flash.read(0, image->total_bytes())))
         << "node " << id;
     EXPECT_EQ(flash.double_writes(), 0u) << "node " << id;
   }
-  EXPECT_EQ(network.page_store().pages(), 3u);
+  EXPECT_EQ(network.page_store().pages(), 4u);
+  EXPECT_EQ(network.page_store().own_pages_peak(), 0u);
 }
 
 TEST(Network, MacFactoryInstallsCustomMac) {

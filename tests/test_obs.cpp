@@ -168,6 +168,11 @@ TEST(ObservedRun, PublishesMetricsTraceAndCounterTracks) {
   EXPECT_GT(obs.metrics.counter_total("mnp.data_sent"), 0u);
   EXPECT_GT(obs.metrics.gauge_total("energy.nah"), 0.0);
   EXPECT_DOUBLE_EQ(obs.metrics.gauge_total("run.completed_nodes"), 9.0);
+  // Flash: the 2,816-byte image is one partial page, held once in the
+  // network's copy; each of the 8 receivers keeps only its write marks.
+  EXPECT_DOUBLE_EQ(obs.metrics.gauge_total("flash.store_pages"), 1.0);
+  EXPECT_DOUBLE_EQ(obs.metrics.gauge_total("flash.own_pages_peak"), 0.0);
+  EXPECT_DOUBLE_EQ(obs.metrics.gauge_total("flash.mark_pages_peak"), 8.0);
   // Counter tracks: per-node energy, the two channel cache-health series,
   // then the four message-class series.
   ASSERT_EQ(obs.counters.size(), 9u + 2u + 4u);

@@ -185,13 +185,14 @@ TEST(RebootResume, MnpNodeResumesFromJournaledSegments) {
 }
 
 // Churn over shared flash: four receivers of a 4x4 grid crash once they
-// hold a segment and reboot 30 s later. Every receiver ends holding the
-// image's two full pages through the network's page store, and two pages
-// of its own: the image's partial third page and the journal's page, whose
-// three 16-byte records never fill it. Each journal recovers the whole
-// image from its own records. Killed by the scratch mutation that shares a
-// page before it is full: equal journals would then share one page.
-TEST(RebootResume, JournalPagesStayPrivateUnderChurn) {
+// hold a segment and reboot 30 s later. Every receiver ends holding four
+// pages, all read through the network's page store: the image's two full
+// pages whole, and write marks only for the image's partial third page and
+// the journal's page, whose three 16-byte records are the same on every
+// node and never fill it. Each journal recovers the whole image from its
+// own records. Killed by the scratch mutation that skips the compare, so
+// every write gives its page bytes of its own.
+TEST(RebootResume, JournalPagesAreSharedUnderChurn) {
   sim::Simulator sim(14);
   node::Network network(sim, net::Topology::grid(4, 4, 10.0),
                         disk_links(15.0));
@@ -231,7 +232,7 @@ TEST(RebootResume, JournalPagesStayPrivateUnderChurn) {
     EXPECT_TRUE(image->matches(flash.read(0, bytes))) << "node " << id;
     // ceil(8,448 / 4096) = 3 image pages, plus the journal's top page.
     EXPECT_EQ(flash.resident_pages(), 4u) << "node " << id;
-    EXPECT_EQ(flash.private_pages(), 2u) << "node " << id;
+    EXPECT_EQ(flash.own_pages(), 0u) << "node " << id;
     boot::ProgressJournal journal(flash);
     const auto rec = journal.recover();
     ASSERT_TRUE(rec.has_value()) << "node " << id;
@@ -239,7 +240,8 @@ TEST(RebootResume, JournalPagesStayPrivateUnderChurn) {
     EXPECT_EQ(rec->program_bytes, bytes);
     EXPECT_EQ(rec->prefix, 3) << "node " << id;
   }
-  EXPECT_EQ(network.page_store().pages(), 2u);
+  EXPECT_EQ(network.page_store().pages(), 4u);
+  EXPECT_EQ(network.page_store().own_pages_peak(), 0u);
 }
 
 TEST(RebootResume, DelugeNodeResumesFromJournaledPages) {
